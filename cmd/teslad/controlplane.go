@@ -24,27 +24,6 @@ type cpOptions struct {
 	ingOpts     ingestOptions
 }
 
-// roleFleetConfig builds the fleet configuration a control-plane role runs
-// under. Coordinator and shards MUST be launched with identical -rooms,
-// -seed, -minutes and -policy values: the fleet config is the contract that
-// lets any shard host any room, and the coordinator validates placements
-// against its own copy.
-func roleFleetConfig(rooms, minutes int, seed uint64, policyName string, dur durOptions) (fleet.Config, error) {
-	factory, err := policyFactory(policyName)
-	if err != nil {
-		return fleet.Config{}, err
-	}
-	cfg := fleet.DefaultConfig(rooms, seed, factory)
-	if minutes > 0 {
-		cfg.EvalS = float64(minutes) * 60
-	}
-	if dur.every > 0 {
-		cfg.SnapshotEvery = dur.every
-	}
-	cfg.SyncEvery = dur.sync
-	return cfg, nil
-}
-
 // runControlPlane dispatches -role coordinator|shard. Flag validation runs
 // before the fleet config is built so a bad invocation fails fast instead
 // of after model training.
@@ -61,7 +40,7 @@ func runControlPlane(ctx context.Context, listen string, rooms, minutes int, see
 	default:
 		return fmt.Errorf("unknown role %q (want coordinator or shard)", cp.role)
 	}
-	fcfg, err := roleFleetConfig(rooms, minutes, seed, policyName, dur)
+	fcfg, err := fleetConfig(rooms, minutes, seed, policyName, dur)
 	if err != nil {
 		return err
 	}
@@ -161,16 +140,11 @@ func runShard(ctx context.Context, listen string, fcfg fleet.Config, seed uint64
 	if err != nil {
 		return err
 	}
-	// A shard can run its own ingest pipeline — its ledgers ride every
-	// heartbeat so the coordinator's /fleet and /metrics roll up fleet-wide
-	// ingest health. With -gateway the pipeline gets the shard's field-bus
-	// gateway, so "modbus" in -inputs sweeps the hosted rooms' ACU devices
-	// as they appear and leave (the input runs in dynamic mode).
+	// A shard's ingest ledgers ride every heartbeat into the coordinator's
+	// rollup; with -gateway, "modbus" sweeps the hosted rooms' ACU devices.
 	if cp.inputs != "" {
 		db := telemetry.NewDBWithRetention(telemetry.RetentionConfig{})
-		opts := cp.ingOpts
-		opts.dynamic = true
-		ing, err := startIngest(db, cp.inputs, sh.Gateway(), fcfg.ColdLimitC, fcfg.Testbed.SamplePeriodS, nil, opts)
+		ing, err := startIngest(db, cp.inputs, sh.Gateway(), fcfg.ColdLimitC, fcfg.Testbed.SamplePeriodS, nil, cp.ingOpts)
 		if err != nil {
 			return fmt.Errorf("starting shard ingest pipeline: %w", err)
 		}

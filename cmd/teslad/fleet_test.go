@@ -10,14 +10,15 @@ import (
 	"tesla/internal/testbed"
 )
 
-// testFleetDaemon fabricates a 3-room fleet daemon with two ingested rooms
-// and a telemetry queue that has already evicted samples.
-func testFleetDaemon(t *testing.T) *fleetDaemon {
+// testFleetOperator fabricates a 3-room fleet with two ingested rooms and a
+// telemetry queue that has already evicted samples.
+func testFleetOperator(t *testing.T) *operator {
 	t.Helper()
 	queues := []*telemetry.Queue{telemetry.NewQueue(4), telemetry.NewQueue(16), telemetry.NewQueue(16)}
 	ing := telemetry.NewIngestor(queues, coldLimitC, 60, 0)
 	events := telemetry.NewEventLog(2)
-	fd := newFleetDaemon([]string{"room-0", "room-1", "room-2"}, ing, events)
+	fd := newOperator([]string{"room-0", "room-1", "room-2"})
+	fd.ing, fd.events = ing, events
 
 	// Room 0 laps its tiny queue; room 1 stays lossless.
 	for i := uint64(0); i < 10; i++ {
@@ -33,9 +34,9 @@ func testFleetDaemon(t *testing.T) *fleetDaemon {
 }
 
 func TestFleetEndpointServesRollupAndRooms(t *testing.T) {
-	fd := testFleetDaemon(t)
+	fd := testFleetOperator(t)
 	rec := httptest.NewRecorder()
-	fd.handleFleet(rec, httptest.NewRequest("GET", "/fleet", nil))
+	fd.handleStatus(rec, httptest.NewRequest("GET", "/fleet", nil))
 	var out struct {
 		Rollup telemetry.Rollup    `json:"rollup"`
 		Rooms  []roomStatus        `json:"rooms"`
@@ -56,7 +57,7 @@ func TestFleetEndpointServesRollupAndRooms(t *testing.T) {
 }
 
 func TestRoomEndpointRoutesAndRejects(t *testing.T) {
-	fd := testFleetDaemon(t)
+	fd := testFleetOperator(t)
 	rec := httptest.NewRecorder()
 	fd.handleRoom(rec, httptest.NewRequest("GET", "/rooms/1", nil))
 	if rec.Code != 200 {
@@ -86,7 +87,7 @@ func TestRoomEndpointRoutesAndRejects(t *testing.T) {
 }
 
 func TestFleetHealthzWaitsForEveryRoom(t *testing.T) {
-	fd := testFleetDaemon(t)
+	fd := testFleetOperator(t)
 	probe := func() int {
 		rec := httptest.NewRecorder()
 		fd.handleHealthz(rec, httptest.NewRequest("GET", "/healthz", nil))
@@ -96,25 +97,25 @@ func TestFleetHealthzWaitsForEveryRoom(t *testing.T) {
 		t.Fatal("fleet with zero published rooms must be unready")
 	}
 	for i := 0; i < 2; i++ {
-		fd.updateRoom(i, func(rs *roomStatus) { rs.StepMinutes = 1 })
+		fd.update(i, func(rs *roomStatus) { rs.StepMinutes = 1 })
 	}
 	if probe() != 503 {
 		t.Fatal("fleet must stay unready until the last room publishes")
 	}
-	fd.updateRoom(2, func(rs *roomStatus) { rs.StepMinutes = 1 })
+	fd.update(2, func(rs *roomStatus) { rs.StepMinutes = 1 })
 	if probe() != 200 {
 		t.Fatal("fully published fleet must be ready")
 	}
 }
 
 func TestSingleRoomHealthz(t *testing.T) {
-	d := &daemon{}
+	d := newOperator([]string{"room-0"})
 	rec := httptest.NewRecorder()
 	d.handleHealthz(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 503 {
 		t.Fatalf("pre-first-step healthz -> %d, want 503", rec.Code)
 	}
-	d.update(func(st *status) { st.StepMinutes = 1 })
+	d.update(0, func(st *roomStatus) { st.StepMinutes = 1 })
 	rec = httptest.NewRecorder()
 	d.handleHealthz(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 200 {
@@ -123,7 +124,7 @@ func TestSingleRoomHealthz(t *testing.T) {
 }
 
 func TestFleetMetricsExposeLossCounters(t *testing.T) {
-	fd := testFleetDaemon(t)
+	fd := testFleetOperator(t)
 	rec := httptest.NewRecorder()
 	fd.handleMetrics(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()

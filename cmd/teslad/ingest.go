@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"net/http"
+	"io"
 	"time"
 
 	"tesla/internal/gateway"
@@ -10,31 +10,21 @@ import (
 	"tesla/internal/telemetry"
 )
 
-// ingestOptions carries the pipeline cadence flags plus the modbus input
-// mode. Zero cadences fall back to the historical defaults (gather every
-// second, compact every five).
+// ingestOptions carries the pipeline cadence flags. Zero cadences fall back
+// to the defaults (gather every second, compact every five).
 type ingestOptions struct {
 	gatherEvery  time.Duration
 	compactEvery time.Duration
-	// dynamic makes the modbus input track the gateway's device set live —
-	// the shard role, where room ACUs appear and leave as the coordinator
-	// places and migrates rooms long after the pipeline boots.
-	dynamic bool
 }
 
 // startIngest assembles and starts the telemetry ingest pipeline from a
 // -inputs spec list ("http=addr,subscribe=host:port;host:port,modbus").
-// The modbus input is only registered when the daemon has a gateway to
-// poll; gw may be nil for roles without one.
-// now, when non-nil, is the compaction clock — the single-room daemon
-// passes its simulation sample clock so retention cutoffs live in the same
-// time domain as the sample timestamps (wall clock would instantly fold
-// every sim-stamped point); nil keeps the wall-clock default for roles
-// whose pushers stamp records with real time.
+// The modbus input is only registered when gw is non-nil, and tracks the
+// gateway's device set live: room ACUs come and go as rooms are placed and
+// migrated long after the pipeline boots. now, when non-nil, is the
+// compaction clock — the simulation sample clock, so retention cutoffs live
+// in the samples' time domain; nil keeps wall time.
 func startIngest(db *telemetry.DB, specs string, gw *gateway.Gateway, coldLimitC, periodS float64, now func() float64, opts ingestOptions) (*ingest.Service, error) {
-	if opts.gatherEvery <= 0 {
-		opts.gatherEvery = time.Second
-	}
 	if opts.compactEvery <= 0 {
 		opts.compactEvery = 5 * time.Second
 	}
@@ -44,7 +34,6 @@ func startIngest(db *telemetry.DB, specs string, gw *gateway.Gateway, coldLimitC
 			cfg := ingest.ModbusConfig{
 				Gateway: gw,
 				Poller:  gateway.PollerConfig{ColdLimitC: coldLimitC, PeriodS: periodS},
-				Dynamic: opts.dynamic,
 			}
 			if arg != "" {
 				cfg.Measurement = arg
@@ -82,7 +71,7 @@ func startIngest(db *telemetry.DB, specs string, gw *gateway.Gateway, coldLimitC
 // writeIngestMetrics exposes the ingest pipeline and TSDB ledgers — the
 // exactness counters an operator alerts on (drops, gaps, late writes) plus
 // the tier sizes that show retention is holding memory down.
-func writeIngestMetrics(w http.ResponseWriter, st ingest.Stats) {
+func writeIngestMetrics(w io.Writer, st ingest.Stats) {
 	fmt.Fprintf(w, "# TYPE tesla_ingest_inputs gauge\ntesla_ingest_inputs %d\n", st.Inputs)
 	fmt.Fprintf(w, "# TYPE tesla_ingest_attempts_total counter\ntesla_ingest_attempts_total %d\n", st.Attempts)
 	fmt.Fprintf(w, "# TYPE tesla_ingest_ingested_total counter\ntesla_ingest_ingested_total %d\n", st.Ingested)

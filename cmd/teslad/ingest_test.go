@@ -33,19 +33,16 @@ func TestStartIngestSpecValidation(t *testing.T) {
 	svc.Stop()
 }
 
-// TestStartIngestShardGatewayMode: the shard wiring — a modbus input over a
-// gateway that has no devices yet must start in dynamic mode (rooms and
-// their ACU sims are placed long after the pipeline boots), and the cadence
+// TestStartIngestShardGatewayMode: a modbus input over a gateway that has no
+// devices yet must start — it tracks the device set live, since rooms and
+// their ACU sims are placed long after the pipeline boots — and the cadence
 // flags reach the service.
 func TestStartIngestShardGatewayMode(t *testing.T) {
 	db := telemetry.NewDBWithRetention(telemetry.RetentionConfig{})
 	gw := gateway.New(gateway.Config{Timeout: time.Second})
 	defer gw.Close()
 
-	if _, err := startIngest(db, "modbus", gw, 22, 60, nil, ingestOptions{}); err == nil {
-		t.Fatal("static modbus input started over an empty gateway")
-	}
-	svc, err := startIngest(db, "modbus", gw, 22, 60, nil, ingestOptions{dynamic: true, gatherEvery: time.Hour, compactEvery: time.Hour})
+	svc, err := startIngest(db, "modbus", gw, 22, 60, nil, ingestOptions{gatherEvery: time.Hour, compactEvery: time.Hour})
 	if err != nil {
 		t.Fatalf("dynamic modbus input over an empty gateway: %v", err)
 	}
@@ -80,9 +77,10 @@ func TestDaemonSurfacesIngestPipeline(t *testing.T) {
 		t.Fatalf("mixed batch status = %d, want 400", resp.StatusCode)
 	}
 
-	d := &daemon{ing: svc}
+	o := newOperator([]string{"room-0"})
+	o.pipe = svc
 	rec := httptest.NewRecorder()
-	d.handleStatus(rec, httptest.NewRequest("GET", "/status", nil))
+	o.handleStatus(rec, httptest.NewRequest("GET", "/status", nil))
 	var out struct {
 		Ingest *ingest.Stats `json:"ingest"`
 	}
@@ -98,7 +96,7 @@ func TestDaemonSurfacesIngestPipeline(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	d.handleMetrics(rec, httptest.NewRequest("GET", "/metrics", nil))
+	o.handleMetrics(rec, httptest.NewRequest("GET", "/metrics", nil))
 	mbody := rec.Body.String()
 	for _, line := range []string{
 		"tesla_ingest_attempts_total 3",

@@ -125,10 +125,16 @@ func TestTesladShutdownAndRecovery(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building teslad: %v\n%s", err, out)
 	}
-	datadir := t.TempDir()
-	args := []string{"-policy", "fixed", "-minutes", "0", "-datadir", datadir,
-		"-walsync", "100000", "-checkpoint", "5"}
+	for name, args := range map[string][]string{
+		"single-room": {"-policy", "fixed", "-minutes", "0", "-walsync", "100000", "-checkpoint", "5"},
+		"fleet":       {"-rooms", "2", "-policy", "fixed", "-minutes", "0", "-walsync", "100000", "-checkpoint", "5"},
+	} {
+		t.Run(name, func(t *testing.T) { shutdownAndRecover(t, bin, append(args, "-datadir", t.TempDir())) })
+	}
+}
 
+// shutdownAndRecover runs one SIGTERM → restart cycle on the same -datadir.
+func shutdownAndRecover(t *testing.T, bin string, args []string) {
 	p1 := startTeslad(t, bin, args...)
 	st1 := pollStatus(t, p1, func(s lifecycleStatus) bool { return s.StepMinutes >= 10 })
 	if !st1.Durability.Enabled {

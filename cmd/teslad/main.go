@@ -1,112 +1,103 @@
-// Command teslad is the TESLA deployment daemon: it assembles the full §4
-// stack — simulated testbed, Modbus/TCP ACU bridge, Telegraf-style
-// collector feeding an InfluxDB-style store over HTTP — and runs the TESLA
-// control loop against it, exposing an operator endpoint with live status
+// Command teslad is the TESLA deployment daemon: it runs the §4 control
+// loop — telemetry in, a BO-chosen set-point out, latched on the ACU's
+// Modbus register — for one machine room or a fleet, and serves live status
 // and Prometheus-style metrics.
 //
-// Usage:
-//
 //	teslad -listen 127.0.0.1:8844 -load medium -minutes 120 [-speedup 0]
-//	teslad -listen 127.0.0.1:8844 -rooms 8 -minutes 120 [-seed 11]
+//	teslad -rooms 8 -minutes 120 [-seed 11] [-datadir /var/lib/teslad]
 //	teslad -rooms 6 -scheduler full -policy modelfree -minutes 60
-//	teslad -datadir /var/lib/teslad -checkpoint 15 [-walsync 0] ...
 //	teslad -role coordinator -rooms 8 -seed 11 -listen 127.0.0.1:9000
 //	teslad -role shard -id shard-a -datadir /var/lib/teslad/a \
 //	       -coordinator http://127.0.0.1:9000 -listen 127.0.0.1:9001
 //	teslad -inputs modbus,http=127.0.0.1:8086,subscribe=host:9200 ...
 //
-// With -speedup 0 (default) the simulation runs as fast as the CPU allows;
-// a positive value sleeps to pace the loop at speedup× real time.
+// Every standalone mode hosts fleet.Runners, the room loop the sharded
+// control plane runs. Single-room mode is a fleet of one room under the
+// -load diurnal profile; -rooms N runs N heterogeneous diurnal rooms. Plants
+// and policies are seeded from per-room substreams of -seed, each room steps
+// on its own goroutine, and each is actuated over a real Modbus field bus
+// (an in-process ACU device sim per room behind one gateway, set-points
+// quantized to the register's centidegrees). -speedup N paces the rooms at
+// N× real time (0 = flat out); -minutes 0 runs until a signal. -policy
+// tesla (default) and mpc train models at CI scale first; fixed and
+// modelfree boot cold.
 //
-// -datadir enables the durable state store: every control step (and the
-// warm-up) is appended to a per-room write-ahead log, and the controller's
-// learned state is checkpointed every -checkpoint steps plus once at
-// graceful shutdown. On restart the daemon recovers the telemetry view, the
-// checkpointed controller and the operator counters, and resumes counting
-// where the durable record ends instead of re-maturing from scratch.
-// -walsync batches WAL fsyncs (0 = every record, n = every n records,
-// negative = never; the shutdown flush always syncs). -policy selects the
-// room controller: tesla (default) and mpc train models at CI scale before
-// the loop starts; fixed (constant set-point) and modelfree (training-free
-// intelligent-P) boot cold.
+// -datadir makes every room durable: a WAL of every step under
+// <datadir>/room-<i>, a controller checkpoint every -checkpoint steps and at
+// shutdown, and on restart a replay through the real decide path that
+// resumes bit-identically where the durable record ends. -walsync batches
+// fsyncs (0 = every record, n = every n, negative = never).
 //
-// -rooms N (N > 1) switches to fleet mode: N concurrent room control loops —
-// heterogeneous diurnal loads, per-room TESLA policies and safety
-// supervisors seeded from per-room substreams of -seed — feed a bounded
-// per-room telemetry queue pipeline whose rollup backs the fleet endpoints.
+// -scheduler none|defer|full runs the lockstep scheduled fleet instead: the
+// scheduling study's room archetypes advance in lockstep while a batch
+// scheduler places, defers and migrates jobs at every step barrier. It needs
+// a finite -minutes and no -datadir.
 //
-// -scheduler none|defer|full runs the lockstep scheduled fleet instead: N
-// heterogeneous rooms (the scheduling study's standard/weak/large archetypes
-// tiled out) advance in lockstep while a global batch scheduler places,
-// defers and migrates two heavy deferrable jobs per room at every step
-// barrier. The run is deterministic in (-rooms, -seed, -policy, -scheduler);
-// /fleet serves the per-room snapshots next to the scheduler counters, and
-// /metrics adds tesla_sched_placements_total, tesla_sched_deferrals_total,
-// tesla_sched_migrations_total{reason} and per-room queue-depth gauges.
-// Requires a finite -minutes horizon; -datadir is not supported here.
+// -role coordinator|shard runs the sharded control plane
+// (internal/controlplane); every role must share -rooms, -seed, -minutes
+// and -policy.
 //
-// -role coordinator|shard switches to the sharded control plane: one
-// coordinator process places rooms on shard workers via consistent hashing,
-// tracks their heartbeat leases and re-places rooms when shards die; shard
-// processes host room control loops and keep stepping them whether or not
-// the coordinator stays reachable. Coordinator and shards must be launched
-// with identical -rooms, -seed, -minutes and -policy values (the shared
-// fleet contract). Shards sharing one -datadir root recover each other's
-// rooms on failover; distinct roots rely on live migration (/migrate on the
-// coordinator). The coordinator serves /fleet, /shards, /migrate, /healthz
-// (503 while any room is unplaced) and /metrics (failover, migration and
-// fencing counters); each shard serves its internal API plus /healthz and
-// /metrics.
+// -inputs attaches the ingest pipeline (internal/ingest): modbus[=measurement]
+// sweeps the rooms' ACU devices, http[=addr] accepts line-protocol writes,
+// subscribe=host:port[;...] consumes delta streams.
 //
-// -inputs attaches the production-volume telemetry ingest pipeline
-// (internal/ingest): comma-separated input specs — modbus[=measurement]
-// polls the daemon's ACU gateway, http[=addr] accepts batched
-// line-protocol writes, subscribe=host:port[;...] consumes sequenced
-// delta streams — feeding a retention-tiered store with exact loss
-// accounting. /status gains an "ingest" block and /metrics gains
-// tesla_ingest_* + tesla_tsdb_* series; on -role shard the ledgers ride
-// every heartbeat into the coordinator's /fleet rollup.
+// SIGINT/SIGTERM stop every room at a step boundary, checkpoint and sync its
+// store, and print the summary. Standalone endpoints:
 //
-// SIGINT/SIGTERM stop the control loop at the next step boundary, drain the
-// operator HTTP server gracefully and print the final summary.
-//
-// Endpoints (single-room mode):
-//
-//	GET /status   — JSON snapshot of the control loop
-//	GET /metrics  — Prometheus text exposition
-//	GET /healthz  — 503 until the first control step publishes, then 200
-//
-// Endpoints (fleet mode):
-//
-//	GET /fleet      — rollup + per-room snapshots + ingested aggregates
-//	GET /rooms/{id} — one room's detail
-//	GET /metrics    — aggregate exposition incl. drop/gap/event-loss counters
-//	GET /healthz    — 503 until every room has published, then 200
+//	GET /status, /fleet — room 0 at the top level, every room under "rooms",
+//	                      plus this mode's rollup, gateway, ingest and
+//	                      scheduler blocks
+//	GET /rooms/{id}     — one room's detail
+//	GET /metrics        — Prometheus text exposition
+//	GET /healthz        — 503 until every room has published, then 200
+//	GET /query, /series — the ingest store's read API (with -inputs)
 package main
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
+	"tesla"
 	"tesla/internal/control"
-	"tesla/internal/dataset"
-	"tesla/internal/gateway"
-	"tesla/internal/ingest"
-	"tesla/internal/modbus"
-	"tesla/internal/safety"
+	"tesla/internal/experiment"
+	"tesla/internal/fleet"
+	"tesla/internal/scheduler"
 	"tesla/internal/telemetry"
 	"tesla/internal/testbed"
 	"tesla/internal/workload"
 )
+
+// coldLimitC is the ASHRAE cold-aisle limit every room is supervised against.
+const coldLimitC = 22
+
+// foreverMinutes is the horizon -minutes 0 maps to: about two years of
+// one-minute control steps.
+const foreverMinutes = 1 << 20
+
+// options carries the standalone flags.
+type options struct {
+	listen, load, policy, sched, inputs string
+	rooms, minutes                      int
+	speedup                             float64
+	seed                                uint64
+	dur                                 durOptions
+	ingOpts                             ingestOptions
+}
+
+// durOptions carries the durability flags: -datadir, -checkpoint, -walsync.
+type durOptions struct {
+	dir         string
+	every, sync int
+}
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:8844", "operator HTTP endpoint")
@@ -114,7 +105,7 @@ func main() {
 	minutes := flag.Int("minutes", 120, "control-loop duration in minutes (0 = forever)")
 	speedup := flag.Float64("speedup", 0, "0 = run flat out; N = pace at N× real time")
 	rooms := flag.Int("rooms", 1, "machine rooms to run; > 1 switches to fleet mode")
-	seed := flag.Uint64("seed", 11, "master seed (fleet substreams and the single-room policy)")
+	seed := flag.Uint64("seed", 11, "master seed every room's plant, load and policy substreams derive from")
 	policyName := flag.String("policy", "tesla", "room controller: tesla|fixed|mpc|modelfree")
 	schedMode := flag.String("scheduler", "", "fleet batch scheduler: none|defer|full (empty disables; runs the lockstep scheduled fleet)")
 	datadir := flag.String("datadir", "", "directory for the durable WAL + snapshot store (empty disables durability)")
@@ -135,18 +126,15 @@ func main() {
 	defer stop()
 
 	dur := durOptions{dir: *datadir, every: *checkpoint, sync: *walsync}
+	ingOpts := ingestOptions{gatherEvery: *gatherEvery, compactEvery: *compactEvery}
 	var err error
 	if *role != "" {
 		cp := cpOptions{role: *role, id: *shardID, coordinator: *coordURL, advertise: *advertise, stepDelay: *stepDelay, inputs: *inputs,
-			gateway: *gatewayOn, ingOpts: ingestOptions{gatherEvery: *gatherEvery, compactEvery: *compactEvery, dynamic: true}}
+			gateway: *gatewayOn, ingOpts: ingOpts}
 		err = runControlPlane(ctx, *listen, *rooms, *minutes, *seed, *policyName, dur, cp)
-	} else if *schedMode != "" {
-		err = runSchedFleet(ctx, *listen, *rooms, *minutes, *speedup, *seed, *policyName, *schedMode, dur)
-	} else if *rooms > 1 {
-		err = runFleet(ctx, *listen, *rooms, *minutes, *speedup, *seed, dur)
 	} else {
-		err = run(ctx, *listen, *loadName, *policyName, *minutes, *speedup, *seed, dur, *inputs,
-			ingestOptions{gatherEvery: *gatherEvery, compactEvery: *compactEvery})
+		err = run(ctx, options{listen: *listen, load: *loadName, rooms: *rooms, minutes: *minutes, speedup: *speedup,
+			seed: *seed, policy: *policyName, sched: *schedMode, dur: dur, inputs: *inputs, ingOpts: ingOpts})
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "teslad:", err)
@@ -167,266 +155,215 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-func run(ctx context.Context, listen, loadName, policyName string, minutes int, speedup float64, seed uint64, dur durOptions, inputs string, ingOpts ingestOptions) error {
-	var load workload.Setting
-	switch loadName {
-	case "idle":
-		load = workload.Idle
-	case "medium":
-		load = workload.Medium
-	case "high":
-		load = workload.High
-	default:
-		return fmt.Errorf("unknown load %q", loadName)
+// policyFactory maps -policy to a per-room controller factory. tesla and mpc
+// need trained artifacts (one CI-scale Prepare shared across every room);
+// fixed and modelfree boot cold, which is what makes them deployable on a
+// fleet with no training pipeline attached.
+func policyFactory(policyName string) (fleet.PolicyFactory, error) {
+	switch policyName {
+	case "tesla", "mpc":
+		fmt.Println("teslad: training models (ci scale)...")
+		sys, err := tesla.PrepareWithBaselines(tesla.ScaleCI, false)
+		if err != nil {
+			return nil, err
+		}
+		a := sys.Artifacts()
+		if policyName == "mpc" {
+			return func(room int, polSeed uint64) (control.Policy, error) {
+				return a.NewMPCPolicy()
+			}, nil
+		}
+		return func(room int, polSeed uint64) (control.Policy, error) {
+			return a.NewTESLAPolicy(polSeed)
+		}, nil
+	case "fixed":
+		return func(room int, polSeed uint64) (control.Policy, error) {
+			return control.Fixed{SetpointC: 23}, nil
+		}, nil
+	case "modelfree":
+		cfg := testbed.DefaultConfig()
+		return func(room int, polSeed uint64) (control.Policy, error) {
+			return experiment.NewModelFreePolicy(cfg.ACU.SetpointMinC, cfg.ACU.SetpointMaxC)
+		}, nil
 	}
+	return nil, fmt.Errorf("unknown policy %q (want tesla, fixed, mpc or modelfree)", policyName)
+}
 
-	// The same factory backs every mode: -policy tesla and mpc train once at
-	// CI scale, fixed and modelfree boot cold.
+// fleetConfig builds the fleet a run hosts (-minutes 0: the paper's 12-hour
+// window). It is the contract every control-plane role must share: any shard
+// can host any room, and the coordinator validates placements against it.
+func fleetConfig(rooms, minutes int, seed uint64, policyName string, dur durOptions) (fleet.Config, error) {
 	factory, err := policyFactory(policyName)
 	if err != nil {
-		return err
+		return fleet.Config{}, err
 	}
-	controller, err := factory(0, seed)
+	cfg := fleet.DefaultConfig(rooms, seed, factory)
+	if minutes > 0 {
+		cfg.EvalS = float64(minutes) * 60
+	}
+	if dur.every > 0 {
+		cfg.SnapshotEvery = dur.every
+	}
+	cfg.SyncEvery = dur.sync
+	return cfg, nil
+}
+
+// run is the standalone daemon: single-room, -rooms N or -scheduler. Flag
+// validation runs before the fleet config is built so a bad invocation
+// fails fast instead of after model training.
+func run(ctx context.Context, o options) error {
+	var mode scheduler.Mode
+	if o.sched != "" {
+		var err error
+		if mode, err = scheduler.ParseMode(o.sched); err != nil {
+			return err
+		}
+		if o.minutes <= 0 {
+			return fmt.Errorf("-scheduler needs a finite horizon: set -minutes > 0")
+		}
+		if o.dur.dir != "" {
+			return fmt.Errorf("-scheduler does not support -datadir: the lockstep fleet is in-memory")
+		}
+	}
+	load, ok := map[string]workload.Setting{"idle": workload.Idle, "medium": workload.Medium, "high": workload.High}[o.load]
+	if !ok && o.rooms == 1 && o.sched == "" {
+		return fmt.Errorf("unknown load %q", o.load)
+	}
+	cfg, err := fleetConfig(o.rooms, cmp.Or(o.minutes, foreverMinutes), o.seed, o.policy, o.dur)
 	if err != nil {
 		return err
+	}
+	cfg.DataDir = o.dur.dir
+	switch {
+	case o.sched != "":
+		cfg.Rooms = experiment.TiledSpecs(o.rooms, o.seed)
+		cfg.WarmupS = 600
+	case o.rooms == 1:
+		cfg.Rooms = []fleet.RoomSpec{{Name: "room-0", Profile: workload.NewDiurnal(load, 43200, 7)}}
+	}
+	names := make([]string, len(cfg.Rooms))
+	for i := range names {
+		names[i] = cfg.RoomName(i)
+	}
+	op := newOperator(names)
+	var pace time.Duration
+	if o.speedup > 0 {
+		pace = time.Duration(cfg.Testbed.SamplePeriodS / o.speedup * float64(time.Second))
 	}
 
-	// Plant + buses.
-	tbCfg := testbed.DefaultConfig()
-	tb, err := testbed.New(tbCfg)
-	if err != nil {
-		return err
-	}
-	tb.UseProfile(workload.NewDiurnal(load, 43200, 7))
-	bridge := modbus.NewACUBridge(tb)
-	mbSrv := modbus.NewServer(bridge.Bank)
-	mbAddr, err := mbSrv.Start("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer mbSrv.Close()
-
-	// With -inputs the store runs with retention tiers so production-volume
-	// ingest stays memory-bounded; without it the plain unbounded store keeps
-	// the historical single-room behaviour bit-for-bit.
-	db := telemetry.NewDB()
-	if inputs != "" {
-		db = telemetry.NewDBWithRetention(telemetry.RetentionConfig{})
-	}
-	tsSrv := telemetry.NewServer(db)
-	tsAddr, err := tsSrv.Start("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer tsSrv.Close()
-	collector := telemetry.NewCollector(tb)
-	tsClient := telemetry.NewClient(tsAddr)
-
-	// All actuation flows through the gateway — the same component that
-	// fronts the fleet at scale — so its health counters on /status and
-	// /metrics reflect the real command path, not a side channel.
-	gw := gateway.New(gateway.Config{Timeout: 2 * time.Second})
-	defer gw.Close()
-	acuDev, err := gw.Add("acu-0", mbAddr)
-	if err != nil {
-		return err
-	}
-
-	// Optional production-volume ingest pipeline: plugin inputs (modbus
-	// poller over the same gateway, HTTP line-protocol writes, streaming
-	// subscriptions) feed the retention-tiered store with exact accounting.
-	// The compaction clock is the simulation sample clock, not wall time:
-	// every sample this daemon produces is stamped in sim seconds, and
-	// retention cutoffs must live in the same domain.
-	var simClock atomic.Uint64
-	var ing *ingest.Service
-	if inputs != "" {
-		simNow := func() float64 { return math.Float64frombits(simClock.Load()) }
-		ing, err = startIngest(db, inputs, gw, 22, tbCfg.SamplePeriodS, simNow, ingOpts)
+	var h *host
+	var harness *scheduler.Harness
+	if o.sched != "" {
+		harness, err = scheduler.NewHarness(scheduler.FleetConfig{
+			Fleet: cfg, Sched: scheduler.DefaultConfig(mode), Jobs: experiment.ScaledSchedJobs(o.rooms, cfg.EvalS),
+		})
 		if err != nil {
+			return err
+		}
+		defer harness.Abandon()
+		for i := range names {
+			op.watch(i, harness.Runner(i))
+		}
+	} else {
+		if h, err = newHost(cfg, op); err != nil {
+			return err
+		}
+		defer h.abandon() // a no-op for rooms run has finished or drained
+		for _, r := range h.runners {
+			if rec := r.Recovery(); rec.Recovered {
+				fmt.Printf("teslad: %s recovered %d control steps (+%d warm-up records) from its store, checkpoint at step %d, %d replayed\n",
+					r.Name(), rec.StepRecords, rec.WarmupRecords, rec.SnapshotStep, rec.ReplayedSteps)
+			}
+		}
+	}
+
+	mux := http.NewServeMux()
+	mux.HandleFunc("/status", op.handleStatus)
+	mux.HandleFunc("/fleet", op.handleStatus)
+	mux.HandleFunc("/rooms/", op.handleRoom)
+	mux.HandleFunc("/metrics", op.handleMetrics)
+	mux.HandleFunc("/healthz", op.handleHealthz)
+	if o.inputs != "" {
+		// The compaction clock is the lead room's sample clock, not wall
+		// time: samples are stamped in simulation seconds, and retention
+		// cutoffs must live in the same domain.
+		db := telemetry.NewDBWithRetention(telemetry.RetentionConfig{})
+		simNow := func() float64 { return math.Float64frombits(op.simNow.Load()) }
+		if op.pipe, err = startIngest(db, o.inputs, op.gw, cfg.ColdLimitC, cfg.Testbed.SamplePeriodS, simNow, o.ingOpts); err != nil {
 			return fmt.Errorf("starting ingest pipeline: %w", err)
 		}
-		defer ing.Stop()
-		fmt.Printf("teslad: ingest pipeline running (%s)\n", inputs)
+		defer op.pipe.Stop()
+		q := telemetry.QueryHandler(db)
+		mux.Handle("/query", q)
+		mux.Handle("/series", q)
+		fmt.Printf("teslad: ingest pipeline running (%s)\n", o.inputs)
 	}
-
-	// The daemon never runs the policy bare: the safety supervisor validates
-	// every telemetry step and owns the staged fallbacks, its events flow
-	// into the operator event log and the time-series store.
-	events := telemetry.NewEventLog(256)
-	sup, err := safety.Wrap(controller, safety.DefaultConfig(22, tbCfg.ACU.SetpointMinC, tbCfg.ACU.SetpointMaxC))
+	ln, srvErr, drain, err := serveHandler(o.listen, mux)
 	if err != nil {
 		return err
 	}
-	sup.SetSink(func(e safety.Event) {
-		detail := e.Detail
-		if e.Sensor >= 0 {
-			detail = fmt.Sprintf("sensor %d: %s", e.Sensor, e.Detail)
+	defer drain()
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	go func() {
+		if err := <-srvErr; !errors.Is(err, http.ErrServerClosed) {
+			cancel(fmt.Errorf("operator endpoint: %w", err))
 		}
-		events.Append(telemetry.Entry{TimeS: e.TimeS, Kind: string(e.Kind), Detail: detail})
-		db.Insert("safety_events", map[string]string{"kind": string(e.Kind)},
-			telemetry.Point{TimeS: e.TimeS, Value: float64(e.Level)})
-	})
-
-	// Durable store: recover the telemetry view, the checkpointed controller
-	// and the operator counters from whatever a previous process persisted.
-	var dr *durableRoom
-	if dur.dir != "" {
-		dr, err = openDurableRoom(dur.dir, dur.every, dur.sync, tbCfg.SamplePeriodS,
-			len(tb.Sensors.ACU), len(tb.Sensors.DC), controller, sup)
-		if err != nil {
-			return fmt.Errorf("opening durable store %s: %w", dur.dir, err)
-		}
-		if ds := dr.Status(); ds.Recovered {
-			fmt.Printf("teslad: recovered %d control steps (+%d warm-up records) from %s, checkpoint at step %d, %d replayed\n",
-				dr.Steps, dr.WarmDone, dur.dir, ds.SnapshotStep, ds.ReplayedSteps)
-		}
-	}
-
-	// Operator endpoint. Serve errors land on a channel so a broken listener
-	// is reported rather than silently swallowed; on exit the server drains
-	// in-flight operator requests before the process ends.
-	d := &daemon{events: events, gw: gw, ing: ing}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/status", d.handleStatus)
-	mux.HandleFunc("/metrics", d.handleMetrics)
-	mux.HandleFunc("/healthz", d.handleHealthz)
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: mux}
-	srvErr := make(chan error, 1)
-	go func() { srvErr <- httpSrv.Serve(ln) }()
-	defer func() {
-		shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(shCtx)
 	}()
-	fmt.Printf("teslad: modbus %s, tsdb %s, operator http://%s\n", mbAddr, tsAddr, ln.Addr())
+	fmt.Printf("teslad: %d room(s), policy %s, operator http://%s\n", len(names), o.policy, ln.Addr())
 
-	// Warm-up hour so the model has history. The plant restarts cold with the
-	// process, so the settling steps always run; with a recovered view they
-	// only settle the plant — the policy's history comes from the WAL.
-	view := dataset.NewTrace(tbCfg.SamplePeriodS, len(tb.Sensors.ACU), len(tb.Sensors.DC))
-	if dr != nil {
-		view = dr.View
+	if harness != nil {
+		err = runScheduled(ctx, harness, op, mode, pace)
+	} else {
+		_, err = h.run(ctx, pace)
+		printRooms(op, o.dur.dir != "")
 	}
-	if err := acuDev.WriteHolding(modbus.RegSetpoint, modbus.EncodeTempC(23)); err != nil {
+	if cause := context.Cause(ctx); err == nil && cause != nil && !errors.Is(cause, context.Canceled) {
+		err = cause
+	}
+	return err
+}
+
+// runScheduled steps the lockstep scheduled fleet to its horizon, or
+// abandons it on a signal (the lockstep fleet is in-memory).
+func runScheduled(ctx context.Context, h *scheduler.Harness, op *operator, mode scheduler.Mode, pace time.Duration) error {
+	for !h.Done() {
+		if err := h.Step(); err != nil {
+			return err
+		}
+		for i := range op.rooms {
+			op.publish(i, h.Runner(i))
+		}
+		op.publishSched(mode.String(), h)
+		if ctx.Err() != nil || (pace > 0 && !sleepCtx(ctx, pace)) {
+			c := h.Scheduler().Counters()
+			fmt.Printf("teslad: signal received, abandoning scheduled fleet: %d placements, %d deferrals, %d migrations, %d waiting\n",
+				c.Placements, c.Deferrals, c.MigrationsTotal(), c.Waiting)
+			return nil
+		}
+	}
+	res, err := h.Finish()
+	if err != nil {
 		return err
 	}
-	for i := 0; i < 60; i++ {
-		if ctx.Err() != nil {
-			fmt.Println("teslad: interrupted during warm-up")
-			return dr.Finalize(0)
-		}
-		s, err := collector.CollectInto(tsClient)
-		if err != nil {
-			return err
-		}
-		bridge.Refresh(s)
-		simClock.Store(math.Float64bits(s.TimeS))
-		appendView := dr == nil || (dr.Steps == 0 && i >= dr.WarmDone)
-		if err := dr.LogWarm(i, s); err != nil {
-			return err
-		}
-		if appendView {
-			view.Append(s)
-		}
-	}
-
-	fmt.Println("teslad: control loop running")
-	step := 0
-	if dr != nil {
-		// Resume the operator counters where the durable record ends.
-		step = dr.Steps
-		d.update(func(st *status) {
-			st.StepMinutes = dr.Steps
-			st.EnergyKWh = dr.EnergyKWh
-			st.Violations = dr.Violations
-			st.Interruptions = dr.Interruptions
-			st.Durability = dr.Status()
-		})
-	}
-loop:
-	for minutes == 0 || step < minutes {
-		select {
-		case <-ctx.Done():
-			fmt.Println("teslad: signal received, shutting down")
-			break loop
-		case err := <-srvErr:
-			return fmt.Errorf("operator endpoint: %w", err)
-		default:
-		}
-		sp := sup.Decide(view, view.Len()-1)
-		if err := acuDev.WriteHolding(modbus.RegSetpoint, modbus.EncodeTempC(sp)); err != nil {
-			return err
-		}
-		s, err := collector.CollectInto(tsClient)
-		if err != nil {
-			return err
-		}
-		bridge.Refresh(s)
-		simClock.Store(math.Float64bits(s.TimeS))
-		view.Append(s)
-		db.Insert("safety_level", nil, telemetry.Point{TimeS: s.TimeS, Value: float64(sup.Level())})
-
-		if err := dr.LogStep(step, sp, s); err != nil {
-			return err
-		}
-		step++
-		sst := sup.Stats()
-		var diag control.Diagnostics
-		if ts, ok := controller.(*control.TESLA); ok {
-			diag = ts.Diagnostics()
-		}
-		d.update(func(st *status) {
-			st.StepMinutes = step
-			st.SetpointC = s.SetpointC
-			st.InletC = mean(s.ACUTemps)
-			st.MaxColdC = s.MaxColdAisle
-			st.ACUPowerKW = s.ACUPowerKW
-			st.AvgServerKW = s.AvgServerKW
-			st.EnergyKWh += s.ACUPowerKW * tbCfg.SamplePeriodS / 3600
-			if s.MaxColdAisle > 22 {
-				st.Violations++
-			}
-			if s.Interrupted {
-				st.Interruptions++
-			}
-			st.SafetyLevel = sup.Level().String()
-			st.SafetyMaxLevel = sup.MaxLevel().String()
-			st.SafetyEscalations = sst.Escalations
-			st.PolicyOverrides = sst.Overrides
-			st.QuarantinedSensors = len(sup.Quarantined())
-			st.PolicyDecisions = diag.Decisions
-			st.PolicyHistoryFallbacks = diag.HistoryFallbacks
-			st.PolicyOptimizerFallbacks = diag.OptimizerFallbacks
-			st.Durability = dr.Status()
-		})
-		if step%15 == 0 {
-			st := d.snapshot()
-			fmt.Printf("teslad: t=%dmin sp=%.2f°C inlet=%.2f°C maxCold=%.2f°C power=%.2fkW energy=%.2fkWh safety=%s\n",
-				st.StepMinutes, st.SetpointC, st.InletC, st.MaxColdC, st.ACUPowerKW, st.EnergyKWh, st.SafetyLevel)
-		}
-		if speedup > 0 {
-			if !sleepCtx(ctx, time.Duration(float64(tbCfg.SamplePeriodS)/speedup*float64(time.Second))) {
-				fmt.Println("teslad: signal received, shutting down")
-				break
-			}
-		}
-	}
-	// Graceful-shutdown flush: a final checkpoint at the exact stopping step,
-	// then a synced WAL — SIGTERM never loses an executed control step.
-	if dr != nil {
-		if err := dr.Finalize(step); err != nil {
-			return fmt.Errorf("flushing durable store: %w", err)
-		}
-		ds := dr.Status()
-		fmt.Printf("teslad: durable store flushed: %d WAL records, checkpoint at step %d\n", ds.WALRecords, ds.SnapshotStep)
-	}
-	st := d.snapshot()
-	fmt.Printf("teslad: done after %d minutes, %.2f kWh, %d violation minutes, %d safety escalations (peak %s)\n",
-		st.StepMinutes, st.EnergyKWh, st.Violations, st.SafetyEscalations, sup.MaxLevel())
+	fmt.Printf("teslad: scheduled fleet done: %d rooms × %d steps, %.2f kWh cooling, %.2f%% true TSV, joint %.2f\n",
+		len(op.rooms), res.TotalSteps/len(op.rooms), res.CoolingKWh, 100*res.TrueTSVFrac, res.JointScore)
+	fmt.Printf("teslad: scheduler: %d placements, %d deferrals, %d migrations; %d/%d jobs completed, mean wait %.0fs\n",
+		res.Sched.Placements, res.Sched.Deferrals, res.Sched.MigrationsTotal(),
+		res.Jobs.Completed, res.Jobs.Submitted, res.Jobs.MeanWaitS)
 	return nil
+}
+
+// printRooms prints each room's final line once the host has finished or
+// drained it.
+func printRooms(op *operator, durable bool) {
+	rooms, _ := op.snapshot()
+	flushed := ""
+	if durable {
+		flushed = " (durable store flushed)"
+	}
+	for _, rs := range rooms {
+		fmt.Printf("teslad: %s done after %d minutes%s, %.2f kWh, %d violation minutes, %d safety escalations (peak %s)\n",
+			rs.Name, rs.StepMinutes, flushed, rs.EnergyKWh, rs.Violations, rs.SafetyEscalations, rs.SafetyMaxLevel)
+	}
 }

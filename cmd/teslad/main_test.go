@@ -10,14 +10,14 @@ import (
 	"time"
 
 	"tesla/internal/gateway"
-	"tesla/internal/modbus"
+	"tesla/internal/testbed"
 )
 
 // TestHandlersConcurrentWithUpdates hammers /status and /metrics while the
 // control loop's update path mutates the snapshot — run under -race this is
 // the daemon's data-race regression test.
 func TestHandlersConcurrentWithUpdates(t *testing.T) {
-	d := &daemon{}
+	o := newOperator([]string{"room-0", "room-1"})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -29,7 +29,7 @@ func TestHandlersConcurrentWithUpdates(t *testing.T) {
 				return
 			default:
 			}
-			d.update(func(st *status) {
+			o.update(i%2, func(st *roomStatus) {
 				st.StepMinutes = i
 				st.SetpointC = 23 + float64(i%5)
 				st.EnergyKWh += 0.01
@@ -44,14 +44,14 @@ func TestHandlersConcurrentWithUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				rec := httptest.NewRecorder()
-				d.handleStatus(rec, httptest.NewRequest("GET", "/status", nil))
-				var st status
+				o.handleStatus(rec, httptest.NewRequest("GET", "/status", nil))
+				var st roomStatus
 				if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 					t.Errorf("bad /status body: %v", err)
 					return
 				}
 				rec = httptest.NewRecorder()
-				d.handleMetrics(rec, httptest.NewRequest("GET", "/metrics", nil))
+				o.handleMetrics(rec, httptest.NewRequest("GET", "/metrics", nil))
 				if !strings.Contains(rec.Body.String(), "tesla_setpoint_celsius") {
 					t.Errorf("metrics missing gauge: %q", rec.Body.String())
 					return
@@ -72,13 +72,14 @@ func TestHandlersConcurrentWithUpdates(t *testing.T) {
 }
 
 func TestStatusSnapshotIsConsistent(t *testing.T) {
-	d := &daemon{}
-	d.update(func(st *status) {
+	o := newOperator([]string{"room-0"})
+	o.update(0, func(st *roomStatus) {
 		st.StepMinutes = 42
 		st.SetpointC = 24.5
 		st.EnergyKWh = 3.25
 	})
-	st := d.snapshot()
+	rooms, _ := o.snapshot()
+	st := rooms[0]
 	if st.StepMinutes != 42 || st.SetpointC != 24.5 || st.EnergyKWh != 3.25 {
 		t.Fatalf("snapshot = %+v", st)
 	}
@@ -102,28 +103,25 @@ func TestSleepCtxCancellation(t *testing.T) {
 // TestDaemonSurfacesGatewayHealth: with a gateway attached, /status carries
 // the gateway block and /metrics the tesla_gateway_* series.
 func TestDaemonSurfacesGatewayHealth(t *testing.T) {
-	bank := modbus.NewMapBank()
-	bank.SetHolding(modbus.RegSetpoint, modbus.EncodeTempC(23))
-	srv := modbus.NewServer(bank)
-	addr, err := srv.Start("127.0.0.1:0")
+	tb, err := testbed.New(testbed.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-
 	gw := gateway.New(gateway.Config{Timeout: time.Second})
 	defer gw.Close()
-	dev, err := gw.Add("acu-0", addr)
+	bus, err := gateway.AttachFieldBus(gw, "room-0", tb, gateway.PollerConfig{ColdLimitC: coldLimitC, PeriodS: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.WriteHolding(modbus.RegSetpoint, modbus.EncodeTempC(24)); err != nil {
+	defer bus.Close()
+	if err := bus.Actuate(24); err != nil {
 		t.Fatal(err)
 	}
 
-	d := &daemon{gw: gw}
+	o := newOperator([]string{"room-0"})
+	o.gw = gw
 	rec := httptest.NewRecorder()
-	d.handleStatus(rec, httptest.NewRequest("GET", "/status", nil))
+	o.handleStatus(rec, httptest.NewRequest("GET", "/status", nil))
 	var body struct {
 		Gateway *gateway.Stats `json:"gateway"`
 	}
@@ -135,7 +133,7 @@ func TestDaemonSurfacesGatewayHealth(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	d.handleMetrics(rec, httptest.NewRequest("GET", "/metrics", nil))
+	o.handleMetrics(rec, httptest.NewRequest("GET", "/metrics", nil))
 	out := rec.Body.String()
 	for _, want := range []string{
 		"tesla_gateway_devices 1",

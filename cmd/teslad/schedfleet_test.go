@@ -25,29 +25,31 @@ func TestPolicyFactoryColdPoliciesBootWithoutTraining(t *testing.T) {
 	}
 }
 
-// testSchedDaemon fabricates a published scheduled-fleet snapshot.
-func testSchedDaemon() *schedDaemon {
-	sd := newSchedDaemon("full", []string{"room-0", "room-1"}, 60)
-	sd.step = 7
-	sd.sched = scheduler.Counters{
-		Placements: 4, Deferrals: 2, Waiting: 1, RunningJobs: 2, CompletedJobs: 1,
-		Migrations: map[string]uint64{scheduler.ReasonThermal: 1},
-		RoomQueue:  map[string]int{"room-0": 2},
+// testSchedOperator fabricates a published scheduled-fleet snapshot.
+func testSchedOperator() *operator {
+	o := newOperator([]string{"room-0", "room-1"})
+	o.sched = &schedStatus{
+		Mode: "full",
+		Counters: scheduler.Counters{
+			Placements: 4, Deferrals: 2, Waiting: 1, RunningJobs: 2, CompletedJobs: 1,
+			Migrations: map[string]uint64{scheduler.ReasonThermal: 1},
+			RoomQueue:  map[string]int{"room-0": 2},
+		},
+		Jobs: scheduler.JobStats{Submitted: 5, Completed: 1, MeanWaitS: 120},
 	}
-	sd.jobs = scheduler.JobStats{Submitted: 5, Completed: 1, MeanWaitS: 120}
-	sd.rooms[0].MaxColdC = 21.4
-	sd.rooms[0].QueueDepth = 2
-	sd.rooms[1].MaxColdC = 22.3
-	return sd
+	o.rooms[0].StepMinutes, o.rooms[1].StepMinutes = 7, 7
+	o.rooms[0].MaxColdC = 21.4
+	o.rooms[1].MaxColdC = 22.3
+	return o
 }
 
 func TestSchedFleetEndpointServesCountersAndRooms(t *testing.T) {
-	sd := testSchedDaemon()
+	sd := testSchedOperator()
 	rec := httptest.NewRecorder()
-	sd.handleFleet(rec, httptest.NewRequest("GET", "/fleet", nil))
+	sd.handleStatus(rec, httptest.NewRequest("GET", "/fleet", nil))
 	var out struct {
 		Mode  string             `json:"scheduler_mode"`
-		Rooms []schedRoomStatus  `json:"rooms"`
+		Rooms []roomStatus       `json:"rooms"`
 		Sched scheduler.Counters `json:"sched"`
 		Jobs  scheduler.JobStats `json:"jobs"`
 	}
@@ -66,7 +68,7 @@ func TestSchedFleetEndpointServesCountersAndRooms(t *testing.T) {
 }
 
 func TestSchedFleetMetricsExposeSchedulerCounters(t *testing.T) {
-	sd := testSchedDaemon()
+	sd := testSchedOperator()
 	rec := httptest.NewRecorder()
 	sd.handleMetrics(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
@@ -88,13 +90,13 @@ func TestSchedFleetMetricsExposeSchedulerCounters(t *testing.T) {
 }
 
 func TestSchedFleetHealthzWaitsForFirstBarrier(t *testing.T) {
-	sd := newSchedDaemon("defer", []string{"room-0"}, 60)
+	sd := newOperator([]string{"room-0"})
 	rec := httptest.NewRecorder()
 	sd.handleHealthz(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 503 {
 		t.Fatalf("pre-first-barrier healthz -> %d, want 503", rec.Code)
 	}
-	sd.step = 1
+	sd.update(0, func(rs *roomStatus) { rs.StepMinutes = 1 })
 	rec = httptest.NewRecorder()
 	sd.handleHealthz(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 200 {
@@ -106,20 +108,23 @@ func TestSchedFleetHealthzWaitsForFirstBarrier(t *testing.T) {
 // tiny horizon with the training-free policy: warm-up, lockstep stepping with
 // scheduler barriers, operator endpoints bound, clean summary.
 func TestRunSchedFleetCompletes(t *testing.T) {
-	err := runSchedFleet(context.Background(), "127.0.0.1:0", 2, 3, 0, 77, "fixed", "full", durOptions{})
-	if err != nil {
-		t.Fatalf("runSchedFleet: %v", err)
+	if err := run(context.Background(), schedOptions(3, "full", "")); err != nil {
+		t.Fatalf("run -scheduler: %v", err)
 	}
 }
 
+func schedOptions(minutes int, mode, datadir string) options {
+	return options{listen: "127.0.0.1:0", rooms: 2, minutes: minutes, seed: 77, policy: "fixed", sched: mode, dur: durOptions{dir: datadir}}
+}
+
 func TestRunSchedFleetRejectsBadFlags(t *testing.T) {
-	if err := runSchedFleet(context.Background(), "127.0.0.1:0", 2, 0, 0, 77, "fixed", "full", durOptions{}); err == nil {
+	if err := run(context.Background(), schedOptions(0, "full", "")); err == nil {
 		t.Fatal("minutes 0 must be rejected")
 	}
-	if err := runSchedFleet(context.Background(), "127.0.0.1:0", 2, 3, 0, 77, "fixed", "bogus", durOptions{}); err == nil {
+	if err := run(context.Background(), schedOptions(3, "bogus", "")); err == nil {
 		t.Fatal("bad scheduler mode must be rejected")
 	}
-	if err := runSchedFleet(context.Background(), "127.0.0.1:0", 2, 3, 0, 77, "fixed", "full", durOptions{dir: t.TempDir()}); err == nil {
+	if err := run(context.Background(), schedOptions(3, "full", t.TempDir())); err == nil {
 		t.Fatal("-datadir must be rejected in scheduler mode")
 	}
 }

@@ -648,7 +648,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if v.Gateway != nil {
 		// Fleet-wide sums over every live shard's gateway, under the same
 		// metric names the shards expose with {shard=...} labels.
-		writeGatewayMetrics(w, "", *v.Gateway)
+		gateway.WriteMetrics(w, "", *v.Gateway)
 	}
 	if v.Field != nil {
 		fmt.Fprintf(w, "# TYPE tesla_fleet_field_samples_total counter\ntesla_fleet_field_samples_total %d\n", v.Field.Samples)

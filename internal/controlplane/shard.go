@@ -98,7 +98,7 @@ type roomHost struct {
 	runner *fleet.Runner
 	ing    *telemetry.Ingestor
 	q      *telemetry.Queue
-	fb     *fieldBus // nil unless the shard runs a field bus
+	fb     *gateway.FieldBus // nil unless the shard runs a field bus
 
 	recovered bool // captured at creation: runner opened onto durable history
 
@@ -269,7 +269,7 @@ func (s *Shard) Kill() {
 			// The field path dies with the process; its in-memory seq ledger
 			// is lost exactly as a crashed gateway's would be — the successor
 			// starts a fresh stream (no hand-off token).
-			h.fb.close()
+			h.fb.Close()
 		}
 	}
 	s.wg.Wait()
@@ -316,7 +316,7 @@ func (s *Shard) FieldRollup() telemetry.Rollup {
 	out := s.fieldRetired
 	for _, h := range s.rooms {
 		if h.fb != nil && !h.fieldMerged {
-			out.Merge(h.fb.rollup())
+			out.Merge(h.fb.Rollup())
 		}
 	}
 	return out
@@ -419,8 +419,8 @@ func (s *Shard) assign(room int, epoch uint64, startSeqs []uint64) (AssignRespon
 		// exists (the bridge needs the plant), and before any loop goroutine
 		// starts. Warmup and recovery replay never actuate, so late-binding
 		// the bus is safe.
-		cfg.Actuate = func(_ int, spC float64) error { return h.fb.actuate(spC) }
-		cfg.Publish = func(_ int, smp testbed.Sample) { h.fb.publish(smp) }
+		cfg.Actuate = func(_ int, spC float64) error { return h.fb.Actuate(spC) }
+		cfg.Publish = func(_ int, smp testbed.Sample) { h.fb.Publish(smp) }
 	}
 	r, err := fleet.NewRunner(cfg, room, q, s.cfg.ID)
 	if err != nil {
@@ -430,7 +430,7 @@ func (s *Shard) assign(room int, epoch uint64, startSeqs []uint64) (AssignRespon
 	h.recovered = r.Recovery().Recovered
 	h.ing = telemetry.NewIngestor([]*telemetry.Queue{q}, cfg.ColdLimitC, cfg.Testbed.SamplePeriodS, cfg.Batch)
 	if s.gw != nil {
-		fb, err := newFieldBus(s.gw, cfg.RoomName(room), r.Plant(), gateway.PollerConfig{
+		fb, err := gateway.AttachFieldBus(s.gw, cfg.RoomName(room), r.Plant(), gateway.PollerConfig{
 			ColdLimitC: cfg.ColdLimitC,
 			PeriodS:    cfg.Testbed.SamplePeriodS,
 			Batch:      cfg.Batch,
@@ -450,7 +450,7 @@ func (s *Shard) assign(room int, epoch uint64, startSeqs []uint64) (AssignRespon
 		s.mu.Unlock()
 		r.Abandon()
 		if h.fb != nil {
-			h.fb.close()
+			h.fb.Close()
 		}
 		return AssignResponse{}, fmt.Errorf("controlplane: shard %s is stopped", s.cfg.ID)
 	}
@@ -459,7 +459,7 @@ func (s *Shard) assign(room int, epoch uint64, startSeqs []uint64) (AssignRespon
 		s.mu.Unlock()
 		r.Abandon()
 		if h.fb != nil {
-			h.fb.close()
+			h.fb.Close()
 		}
 		return AssignResponse{Step: prev.status.Step, Recovered: prev.recovered}, nil
 	}
@@ -555,7 +555,7 @@ func (s *Shard) closeFieldBus(h *roomHost) []uint64 {
 	if h.fb == nil {
 		return nil
 	}
-	seqs, roll := h.fb.close()
+	seqs, roll := h.fb.Close()
 	s.mu.Lock()
 	if !h.fieldMerged {
 		h.fieldMerged = true
@@ -872,7 +872,7 @@ func (s *Shard) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# TYPE tesla_shard_fenced_rooms_total counter\ntesla_shard_fenced_rooms_total{shard=%q} %d\n", s.cfg.ID, fenced)
 	fmt.Fprintf(w, "# TYPE tesla_shard_heartbeat_failures_total counter\ntesla_shard_heartbeat_failures_total{shard=%q} %d\n", s.cfg.ID, fails)
 	if s.gw != nil {
-		writeGatewayMetrics(w, fmt.Sprintf("{shard=%q}", s.cfg.ID), s.gw.Stats())
+		gateway.WriteMetrics(w, fmt.Sprintf("{shard=%q}", s.cfg.ID), s.gw.Stats())
 		fr := s.FieldRollup()
 		fmt.Fprintf(w, "# TYPE tesla_shard_field_samples_total counter\ntesla_shard_field_samples_total{shard=%q} %d\n", s.cfg.ID, fr.Samples)
 		fmt.Fprintf(w, "# TYPE tesla_shard_field_seq_gaps_total counter\ntesla_shard_field_seq_gaps_total{shard=%q} %d\n", s.cfg.ID, fr.Gaps)

@@ -196,13 +196,6 @@ func testbedStream(stream uint64) uint64 { return 4 * stream }
 func policyStream(stream uint64) uint64  { return 4*stream + 1 }
 func profileStream(stream uint64) uint64 { return 4*stream + 2 }
 
-// RoomSeeds resolves the testbed and policy seeds for one room stream —
-// exported so live runners (teslad -rooms) derive exactly the substreams Run
-// uses and stay trajectory-compatible with batch fleet runs.
-func RoomSeeds(fleetSeed, stream uint64) (testbedSeed, policySeed uint64) {
-	return rng.SeedFor(fleetSeed, testbedStream(stream)), rng.SeedFor(fleetSeed, policyStream(stream))
-}
-
 // Validate reports unusable configurations.
 func (c *Config) Validate() error {
 	if len(c.Rooms) == 0 {

@@ -8,37 +8,6 @@ import (
 	"tesla/internal/testbed"
 )
 
-// testBus is a complete field path for one room: the plant's register
-// bridge, an in-process Modbus/TCP device sim, a gateway device dialing
-// it, and a single-device poller — the same stack a shard hosts per room.
-type testBus struct {
-	bridge *modbus.ACUBridge
-	dev    *gateway.Device
-	poller *gateway.Poller
-}
-
-func startTestBus(t *testing.T, r *Runner) *testBus {
-	t.Helper()
-	bridge := modbus.NewACUBridge(r.Plant())
-	srv := modbus.NewServer(bridge.Bank)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	gw := gateway.New(gateway.Config{})
-	t.Cleanup(func() { gw.Close() })
-	dev, err := gw.Add("room-0", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &testBus{
-		bridge: bridge,
-		dev:    dev,
-		poller: gateway.NewPollerOver([]*gateway.Device{dev}, gateway.PollerConfig{ColdLimitC: 22, PeriodS: 60}),
-	}
-}
-
 // TestGatewayActuationBitIdentical proves the field-bus hook contract: a
 // room actuated through a REAL Modbus path — gateway write → TCP → device
 // sim → bridge latch — with a per-step register poll produces exactly the
@@ -61,21 +30,19 @@ func TestGatewayActuationBitIdentical(t *testing.T) {
 	// The bus needs the plant, which exists only after NewRunner — the
 	// hooks close over the pointer and the bus is attached before the
 	// first Step, exactly the shard's late-binding order.
-	var bus *testBus
+	var bus *gateway.FieldBus
 	cfg := mk()
-	cfg.Actuate = func(_ int, sp float64) error {
-		return bus.dev.WriteHolding(modbus.RegSetpoint, modbus.EncodeTempC(sp))
-	}
-	cfg.Publish = func(_ int, s testbed.Sample) {
-		bus.bridge.Refresh(s)
-		bus.poller.PollOnce(s.TimeS)
-		bus.poller.DrainOnce()
-	}
+	cfg.Actuate = func(_ int, sp float64) error { return bus.Actuate(sp) }
+	cfg.Publish = func(_ int, s testbed.Sample) { bus.Publish(s) }
 	r, err := NewRunner(cfg, 0, nil, "bus-host")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bus = startTestBus(t, r)
+	gw := gateway.New(gateway.Config{})
+	t.Cleanup(func() { gw.Close() })
+	if bus, err = gateway.AttachFieldBus(gw, "room-0", r.Plant(), gateway.PollerConfig{ColdLimitC: 22, PeriodS: 60}); err != nil {
+		t.Fatal(err)
+	}
 	for !r.Done() {
 		if err := r.Step(); err != nil {
 			t.Fatal(err)
@@ -95,11 +62,11 @@ func TestGatewayActuationBitIdentical(t *testing.T) {
 		t.Errorf("gateway-actuated metrics diverged:\n  got  %+v\n  want %+v", res, want)
 	}
 
-	ru := bus.poller.Rollup()
+	seqs, ru := bus.Close()
 	if ru.Samples != uint64(res.Steps) || ru.Gaps != 0 {
 		t.Errorf("poll ledger: %d samples, %d gaps, want %d, 0", ru.Samples, ru.Gaps, res.Steps)
 	}
-	if seqs := bus.poller.Seqs(); seqs[0] != uint64(res.Steps) {
+	if seqs[0] != uint64(res.Steps) {
 		t.Errorf("final poll seq %d, want %d (one sweep per control step)", seqs[0], res.Steps)
 	}
 }

@@ -3,19 +3,21 @@ package fleet
 import (
 	"fmt"
 	"path/filepath"
-	"time"
 
 	"tesla/internal/control"
+	"tesla/internal/safety"
+	"tesla/internal/store"
 	"tesla/internal/telemetry"
 	"tesla/internal/testbed"
 )
 
 // Runner is the step-wise form of one room's control loop, built for hosts
 // that need to start, pause, hand off or kill a room mid-horizon — the
-// sharded control plane. It drives exactly the same code path as Run's batch
-// loop (construction, recovery, per-step execution and accumulator folding
-// are shared with roomRun), so a room stepped by a Runner produces the same
-// trajectory hash, bit for bit, as the same room inside a batch fleet run.
+// sharded control plane and teslad. It drives exactly the same code path as
+// Run's batch loop (construction, recovery, per-step execution and
+// accumulator folding are shared with roomRun), so a room stepped by a
+// Runner produces the same trajectory hash, bit for bit, as the same room
+// inside a batch fleet run.
 //
 // A Runner is not safe for concurrent use; give each room one goroutine.
 type Runner struct {
@@ -72,7 +74,6 @@ func NewRunner(cfg Config, idx int, q *telemetry.Queue, lockHolder string) (*Run
 	r.d, r.durable = rr.durablePolicy()
 	r.snap = rr.snapInterval()
 	r.next = rr.startStep
-	rr.res.latencies = make([]time.Duration, 0, rr.evalSteps-rr.startStep)
 	return r, nil
 }
 
@@ -108,6 +109,22 @@ func (r *Runner) Recovery() RecoveryInfo { return r.rr.res.Recovery }
 // is safe. The control loop itself must never touch the plant directly
 // once Config.Actuate is set.
 func (r *Runner) Plant() *testbed.Testbed { return r.rr.tb }
+
+// Supervisor exposes the room's safety supervisor — its level, counters,
+// quarantined probes and the wrapped policy (Inner) — for operator
+// endpoints, and lets a host install its event sink after recovery replay
+// (so replayed escalations are not reported twice). Like every Runner
+// method it must be called from the goroutine that steps the room.
+func (r *Runner) Supervisor() *safety.Supervisor { return r.rr.sup }
+
+// StoreStats reports the room's WAL + snapshot counters; ok is false when
+// durability is disabled or the store is already closed.
+func (r *Runner) StoreStats() (st store.Stats, ok bool) {
+	if r.rr.st == nil {
+		return store.Stats{}, false
+	}
+	return r.rr.st.Stats(), true
+}
 
 // LastSample returns the most recent plant sample (from warm-up, recovery
 // replay or the last Step) — the per-room observation a fleet-level
@@ -182,16 +199,24 @@ type RunnerStatus struct {
 	Planned   int     `json:"planned"`
 	EnergyKWh float64 `json:"energy_kwh"`
 	MaxColdC  float64 `json:"max_cold_c"`
+	// Violations / Interruptions count executed steps whose delivered cold
+	// aisle exceeded the limit / whose ACU was interrupted — recovered
+	// steps included.
+	Violations    int `json:"violation_minutes"`
+	Interruptions int `json:"interruption_minutes"`
 }
 
-// Status snapshots the room's progress.
+// Status snapshots the room's progress. Call it before Finish, which turns
+// the step counters into fractions.
 func (r *Runner) Status() RunnerStatus {
 	return RunnerStatus{
-		Room:      r.rr.res.Room,
-		Name:      r.rr.res.Name,
-		Step:      r.next,
-		Planned:   r.rr.evalSteps,
-		EnergyKWh: r.rr.res.CEkWh,
-		MaxColdC:  r.rr.res.MaxCold,
+		Room:          r.rr.res.Room,
+		Name:          r.rr.res.Name,
+		Step:          r.next,
+		Planned:       r.rr.evalSteps,
+		EnergyKWh:     r.rr.res.CEkWh,
+		MaxColdC:      r.rr.res.MaxCold,
+		Violations:    int(r.rr.res.TSVFrac),
+		Interruptions: int(r.rr.res.CIFrac),
 	}
 }

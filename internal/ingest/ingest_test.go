@@ -114,6 +114,46 @@ func TestHTTPInputEndToEnd(t *testing.T) {
 	}
 }
 
+// TestHTTPInputRejectsOversizedBatch: a body past the batch limit is
+// refused with 413 before parsing — no prefix of it lands, so the exact
+// ledger never sees a truncated batch.
+func TestHTTPInputRejectsOversizedBatch(t *testing.T) {
+	db := telemetry.NewDB()
+	svc := NewService(Config{DB: db, GatherEvery: time.Hour})
+	h := NewHTTPInput("127.0.0.1:0")
+	if err := svc.Add(h); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Stop()
+
+	line := "m,host=a f=1 1700000000\n"
+	body := strings.Repeat(line, maxWriteBody/len(line)+1)
+	resp, err := http.Post("http://"+h.Addr()+"/write", "text/plain", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized batch status = %d, want 413", resp.StatusCode)
+	}
+	if st := svc.Stats(); st.Attempts != 0 || st.Ingested != 0 || db.Len() != 0 {
+		t.Fatalf("oversized batch reached the store: ledger %d/%d, %d points", st.Attempts, st.Ingested, db.Len())
+	}
+	// A batch at the limit still lands whole.
+	body = strings.Repeat(line, maxWriteBody/len(line))
+	resp, err = http.Post("http://"+h.Addr()+"/write", "text/plain", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if want := uint64(maxWriteBody / len(line)); resp.StatusCode != http.StatusOK || svc.Stats().Ingested != want {
+		t.Fatalf("batch at the limit: status %d, ingested %d, want 200 and %d", resp.StatusCode, svc.Stats().Ingested, want)
+	}
+}
+
 // TestServiceStartFailureUnwinds: a failing input start stops the inputs
 // already started instead of leaking their listeners.
 func TestServiceStartFailureUnwinds(t *testing.T) {

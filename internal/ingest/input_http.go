@@ -9,6 +9,9 @@ import (
 	"sync/atomic"
 )
 
+// maxWriteBody bounds one POST /write batch.
+const maxWriteBody = 16 << 20
+
 // HTTPInput accepts line-protocol batches over POST /write on its own
 // listener — the push path for collectors that batch on the edge. Decoding
 // is the batched wire path (telemetry.IngestBatch), so good lines land
@@ -66,10 +69,18 @@ func (h *HTTPInput) handleWrite(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
+	// Read one byte past the limit so an oversized batch is refused whole:
+	// parsing a truncated body would land a prefix of it, cut a line
+	// mid-field, and leave the tail out of the exact ledger.
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxWriteBody+1))
 	if err != nil {
 		h.errors.Add(1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if len(body) > maxWriteBody {
+		h.errors.Add(1)
+		http.Error(w, fmt.Sprintf("batch exceeds %d bytes; split it", maxWriteBody), http.StatusRequestEntityTooLarge)
 		return
 	}
 	h.mu.Lock()

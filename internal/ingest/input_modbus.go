@@ -17,18 +17,15 @@ type ModbusConfig struct {
 	Poller gateway.PollerConfig
 	// Measurement names the emitted series (default "acu").
 	Measurement string
-	// Dynamic re-resolves the gateway's device set on every Gather instead
-	// of fixing it at Start — the shard role, where rooms (and their ACU
-	// devices) are assigned, migrated away and finished long after the
-	// ingest pipeline boots. When the set changes the poller is rebuilt
-	// over it, carrying each surviving device's sequence counter by device
-	// id and folding the outgoing poller's ledger into the cumulative
-	// counters, so continuing streams keep exact accounting across
-	// rebuilds. Start then accepts an empty device set.
-	Dynamic bool
 }
 
-// ModbusInput is the pull plugin over an ACU fleet. It owns a
+// ModbusInput is the pull plugin over an ACU fleet. It re-resolves the
+// gateway's device set on every Gather, since rooms (and their ACU devices)
+// are hosted, migrated away and finished long after the ingest pipeline
+// boots. When the set changes the poller is rebuilt over it, carrying each
+// surviving device's sequence counter by device id and folding the outgoing
+// poller's ledger into the cumulative counters, so continuing streams keep
+// exact accounting across rebuilds. It owns a
 // gateway.Poller — the existing sweep/queue/ingest pipeline with its exact
 // per-device sequence accounting — rather than a bespoke poll loop, and on
 // every Gather emits each freshly answered device's state as three points
@@ -61,8 +58,8 @@ type ModbusInput struct {
 	seqGaps uint64
 }
 
-// NewModbusInput builds the input; the poller is created at Start so the
-// gateway's device set is complete (or, with Dynamic, tracked from then on).
+// NewModbusInput builds the input; the poller is created at Start over the
+// gateway's device set (possibly empty) and tracked from then on.
 func NewModbusInput(cfg ModbusConfig) *ModbusInput {
 	if cfg.Measurement == "" {
 		cfg.Measurement = "acu"
@@ -74,9 +71,9 @@ func NewModbusInput(cfg ModbusConfig) *ModbusInput {
 func (m *ModbusInput) Name() string { return "modbus" }
 
 // Poller exposes the underlying poller (rollup, seq hand-off for shard
-// migration). Valid after Start; with Dynamic it may be nil (no devices)
-// and a later rebuild replaces it, so callers must not cache it across
-// device-set changes.
+// migration). Valid after Start; it may be nil (no devices) and a later
+// rebuild replaces it, so callers must not cache it across device-set
+// changes.
 func (m *ModbusInput) Poller() *gateway.Poller {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -89,15 +86,11 @@ func (m *ModbusInput) Start(sink *Sink) error {
 	if m.cfg.Gateway == nil {
 		return fmt.Errorf("modbus input: Gateway is required")
 	}
-	devs := m.cfg.Gateway.Devices()
-	if len(devs) == 0 && !m.cfg.Dynamic {
-		return fmt.Errorf("modbus input: gateway has no devices")
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.sink = sink
 	m.started = true
-	m.installLocked(devs, m.cfg.Poller.StartSeqs)
+	m.installLocked(m.cfg.Gateway.Devices(), m.cfg.Poller.StartSeqs)
 	return nil
 }
 
@@ -191,14 +184,11 @@ func (m *ModbusInput) Gather(timeS float64) error {
 		return fmt.Errorf("modbus input: not started")
 	}
 	m.gathers++
-	if m.cfg.Dynamic {
-		m.syncDevicesLocked()
-	}
+	m.syncDevicesLocked()
 	p := m.poller
 	m.mu.Unlock()
 	if p == nil {
-		// Dynamic input with no devices yet: nothing to sweep.
-		return nil
+		return nil // no devices yet: nothing to sweep
 	}
 
 	// Device I/O happens with only gatherMu held.

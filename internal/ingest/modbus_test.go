@@ -226,10 +226,9 @@ func TestModbusInputStatsResponsiveDuringHungSweep(t *testing.T) {
 	svc.Stop()
 }
 
-// TestModbusInputDynamicDeviceSet: with Dynamic set the input starts over
-// an empty gateway and tracks devices as they appear and leave — the shard
-// role, where rooms are assigned and migrated away while the pipeline
-// runs. A surviving device's sequence stream continues across every poller
+// TestModbusInputDynamicDeviceSet: the input starts over an empty gateway
+// and tracks devices as they appear and leave — rooms are assigned and
+// migrated away while the pipeline runs. A surviving device's sequence stream continues across every poller
 // rebuild with no duplicate and no phantom gap.
 func TestModbusInputDynamicDeviceSet(t *testing.T) {
 	gw := gateway.New(gateway.Config{Timeout: time.Second})
@@ -240,7 +239,6 @@ func TestModbusInputDynamicDeviceSet(t *testing.T) {
 	m := NewModbusInput(ModbusConfig{
 		Gateway: gw,
 		Poller:  gateway.PollerConfig{ColdLimitC: 27, PeriodS: 60},
-		Dynamic: true,
 	})
 	svc.Add(m)
 	if err := svc.Start(); err != nil {

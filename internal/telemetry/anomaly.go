@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 )
 
 // Anomaly detection for sensor telemetry: the §4 deployment depends on 37
@@ -151,16 +152,14 @@ func (d *Detector) ScanAll(nowS float64) []Anomaly {
 
 // parseSeriesKey splits a Series() entry back into measurement and tags.
 func parseSeriesKey(s string) (string, map[string]string) {
-	i := indexByte(s, ',')
-	if i < 0 {
+	measurement, rest, ok := strings.Cut(s, ",")
+	if !ok {
 		return s, nil
 	}
-	measurement := s[:i]
 	tags := map[string]string{}
-	for _, kv := range splitNonEmpty(s[i+1:], ',') {
-		j := indexByte(kv, '=')
-		if j > 0 {
-			tags[kv[:j]] = kv[j+1:]
+	for _, kv := range strings.Split(rest, ",") {
+		if k, v, ok := strings.Cut(kv, "="); ok && k != "" {
+			tags[k] = v
 		}
 	}
 	return measurement, tags

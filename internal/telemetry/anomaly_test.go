@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"testing"
 
 	"tesla/internal/rng"
@@ -107,20 +108,22 @@ func TestDetectorMinSamplesGate(t *testing.T) {
 }
 
 func TestDetectorCatchesInjectedTestbedFault(t *testing.T) {
-	// End-to-end: a frozen cold-aisle probe on the real collector path must
-	// surface as a stuck anomaly on exactly that series.
+	// End-to-end: a frozen cold-aisle probe on the real line-protocol path
+	// must surface as a stuck anomaly on exactly that series.
 	db := NewDB()
 	tb, err := testbed.New(testbed.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	tb.UseProfile(workload.Constant{Util: 0.25})
-	col := NewCollector(tb)
 	tb.Sensors.FailDC(5, 21.5)
 	for i := 0; i < 20; i++ {
 		s := tb.Advance()
-		if err := db.IngestLines(col.Scrape(s)); err != nil {
-			t.Fatal(err)
+		for j, v := range s.DCTemps {
+			line := FormatLine("dc_temp", map[string]string{"sensor": fmt.Sprint(j)}, map[string]float64{"c": v}, s.TimeS)
+			if err := db.IngestLine(line); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	d := NewDetector(db)

@@ -2,85 +2,25 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"strconv"
+	"strings"
 )
 
-// Server exposes a DB over HTTP with two endpoints:
+// QueryHandler serves a DB's read API — the InfluxDB query side of the
+// paper's deployment (writes arrive through internal/ingest's inputs):
 //
-//	POST /write          — body: line-protocol records, one per line
-//	GET  /query?...      — q parameters: measurement, tags (k=v,k=v),
-//	                       from, to (seconds); returns JSON points
-//	GET  /series         — list stored series
-//
-// This mirrors the InfluxDB write/query split the paper's deployment uses.
-type Server struct {
-	DB       *DB
-	listener net.Listener
-	httpSrv  *http.Server
-}
-
-// NewServer wraps a DB.
-func NewServer(db *DB) *Server {
-	return &Server{DB: db}
-}
-
-// Start begins serving on addr (use "127.0.0.1:0" for an ephemeral port)
-// and returns the bound address.
-func (s *Server) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("telemetry: listen: %w", err)
-	}
-	s.listener = ln
+//	GET /query?measurement=m[&tags=k=v,k=v][&from=s][&to=s][&tier=raw|1m|1h]
+//	                      — JSON points (raw) or aggregates (1m, 1h)
+//	GET /series          — list stored series
+func QueryHandler(db *DB) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/write", s.handleWrite)
-	mux.HandleFunc("/query", s.handleQuery)
-	mux.HandleFunc("/series", s.handleSeries)
-	s.httpSrv = &http.Server{Handler: mux}
-	go func() {
-		// Serve exits with ErrServerClosed on Close; other errors are
-		// surfaced through failed client requests in tests.
-		_ = s.httpSrv.Serve(ln)
-	}()
-	return ln.Addr().String(), nil
+	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) { handleQuery(db, w, r) })
+	mux.HandleFunc("/series", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, db.Series()) })
+	return mux
 }
 
-// Close stops the server.
-func (s *Server) Close() error {
-	if s.httpSrv != nil {
-		return s.httpSrv.Close()
-	}
-	return nil
-}
-
-func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	defer r.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	// Batched wire decoding: one pass over the body, malformed lines are
-	// rejected individually and everything else lands — the client learns
-	// exactly which lines failed, and a retry of the full batch is safe for
-	// the good lines (idempotent upsert semantics are the caller's concern).
-	n, rejected, ierr := s.DB.IngestBatch(string(body))
-	if rejected > 0 {
-		http.Error(w, fmt.Sprintf("wrote %d lines, rejected %d: %v", n, rejected, ierr), http.StatusBadRequest)
-		return
-	}
-	fmt.Fprintf(w, "wrote %d lines\n", n)
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+func handleQuery(db *DB, w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	measurement := q.Get("measurement")
 	if measurement == "" {
@@ -89,144 +29,45 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	tags := map[string]string{}
 	if tagStr := q.Get("tags"); tagStr != "" {
-		for _, kv := range splitNonEmpty(tagStr, ',') {
-			i := indexByte(kv, '=')
-			if i <= 0 {
+		for _, kv := range strings.Split(tagStr, ",") {
+			k, v, ok := strings.Cut(kv, "=")
+			if !ok || k == "" {
 				http.Error(w, "malformed tags", http.StatusBadRequest)
 				return
 			}
-			tags[kv[:i]] = kv[i+1:]
+			tags[k] = v
 		}
 	}
-	from, err := parseOr(q.Get("from"), 0)
-	if err != nil {
-		http.Error(w, "bad from", http.StatusBadRequest)
-		return
+	from, to := 0.0, 1e18
+	for _, b := range []struct {
+		name string
+		dst  *float64
+	}{{"from", &from}, {"to", &to}} {
+		if s := q.Get(b.name); s != "" {
+			v, err := strconv.ParseFloat(s, 64)
+			if err != nil {
+				http.Error(w, "bad "+b.name, http.StatusBadRequest)
+				return
+			}
+			*b.dst = v
+		}
 	}
-	to, err := parseOr(q.Get("to"), 1e18)
-	if err != nil {
-		http.Error(w, "bad to", http.StatusBadRequest)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
 	// tier selects a downsampled resolution; absent or "raw" serves points.
 	switch q.Get("tier") {
 	case "", "raw":
-		pts := s.DB.Query(measurement, tags, from, to)
-		if err := json.NewEncoder(w).Encode(pts); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		writeJSON(w, db.Query(measurement, tags, from, to))
 	case "1m":
-		if err := json.NewEncoder(w).Encode(s.DB.QueryAgg(TierMinute, measurement, tags, from, to)); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		writeJSON(w, db.QueryAgg(TierMinute, measurement, tags, from, to))
 	case "1h":
-		if err := json.NewEncoder(w).Encode(s.DB.QueryAgg(TierHour, measurement, tags, from, to)); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		writeJSON(w, db.QueryAgg(TierHour, measurement, tags, from, to))
 	default:
 		http.Error(w, "bad tier (want raw, 1m or 1h)", http.StatusBadRequest)
 	}
 }
 
-func (s *Server) handleSeries(w http.ResponseWriter, _ *http.Request) {
+func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(s.DB.Series()); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-func parseOr(s string, def float64) (float64, error) {
-	if s == "" {
-		return def, nil
-	}
-	return strconv.ParseFloat(s, 64)
-}
-
-func splitNonEmpty(s string, sep byte) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == sep {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
-}
-
-// Client is a minimal HTTP client for the server.
-type Client struct {
-	BaseURL string
-	HTTP    *http.Client
-}
-
-// NewClient targets a server address ("host:port").
-func NewClient(addr string) *Client {
-	return &Client{BaseURL: "http://" + addr, HTTP: &http.Client{}}
-}
-
-// WriteLines posts line-protocol records.
-func (c *Client) WriteLines(lines string) error {
-	resp, err := c.HTTP.Post(c.BaseURL+"/write", "text/plain", stringsReader(lines))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("telemetry: write failed: %s: %s", resp.Status, body)
-	}
-	return nil
-}
-
-// Query fetches points of one series.
-func (c *Client) Query(measurement string, tags map[string]string, fromS, toS float64) ([]Point, error) {
-	url := fmt.Sprintf("%s/query?measurement=%s&from=%g&to=%g", c.BaseURL, measurement, fromS, toS)
-	if t := canonTags(tags); t != "" {
-		url += "&tags=" + t // canonical "k=v,k=v" form is URL-safe here
-	}
-	resp, err := c.HTTP.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("telemetry: query failed: %s: %s", resp.Status, body)
-	}
-	var pts []Point
-	if err := json.NewDecoder(resp.Body).Decode(&pts); err != nil {
-		return nil, err
-	}
-	return pts, nil
-}
-
-// stringsReader avoids importing strings for a one-liner.
-type sr struct {
-	s string
-	i int
-}
-
-func stringsReader(s string) io.Reader { return &sr{s: s} }
-
-// Read implements io.Reader.
-func (r *sr) Read(p []byte) (int, error) {
-	if r.i >= len(r.s) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.s[r.i:])
-	r.i += n
-	return n, nil
 }

