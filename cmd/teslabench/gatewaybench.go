@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -229,4 +231,24 @@ func runGatewayCell(devices, window, opsPerGen int) (gatewayBenchRow, error) {
 			row.Attempts, gs.Submitted, gs.Completed, gs.Failed, gs.Dropped)
 	}
 	return row, nil
+}
+
+// parseCounts parses a comma-separated list of positive ints ("1,4,16").
+func parseCounts(spec string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(spec, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		n, err := strconv.Atoi(part)
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad count %q", part)
+		}
+		out = append(out, n)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("empty list %q", spec)
+	}
+	return out, nil
 }

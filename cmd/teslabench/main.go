@@ -7,7 +7,6 @@
 //	teslabench -all                      # every table and figure
 //	teslabench -table 5 -hours 12        # just Table 5
 //	teslabench -fig 3 -out figures/      # Figure 3 + CSV export
-//	teslabench -fleet                    # fleet orchestrator sweep + BENCH_fleet.json
 //	teslabench -bo                       # BO surrogate hot-path benchmarks + BENCH_bo.json
 //	teslabench -wal                      # durable-store benchmarks + BENCH_wal.json
 //	teslabench -controlplane             # control-plane chaos sweep + BENCH_controlplane.json
@@ -37,11 +36,6 @@ func main() {
 	out := flag.String("out", "", "directory for figure CSV exports")
 	report := flag.String("report", "", "write a markdown evaluation report (tables + ablations + fault matrix) to this path")
 	faultMatrix := flag.Bool("faultmatrix", false, "run the fault-matrix sweep (supervised TESLA vs every fault class)")
-	fleetBench := flag.Bool("fleet", false, "sweep the fleet orchestrator over room × worker counts")
-	fleetRooms := flag.String("fleetrooms", "1,4,16", "comma-separated room counts for -fleet")
-	fleetWorkers := flag.String("fleetworkers", "1,2,4", "comma-separated worker counts for -fleet")
-	fleetMinutes := flag.Int("fleetminutes", 60, "evaluated control steps per room for -fleet")
-	benchOut := flag.String("benchout", "BENCH_fleet.json", "JSON baseline path for -fleet (empty disables)")
 	boBench := flag.Bool("bo", false, "benchmark the BO surrogate hot path (fit/posterior/acquisition/optimize)")
 	boOut := flag.String("boout", "BENCH_bo.json", "JSON baseline path for -bo (empty disables)")
 	walBench := flag.Bool("wal", false, "benchmark the durable store (WAL append, snapshot write, recovery)")
@@ -65,82 +59,41 @@ func main() {
 	schedOut := flag.String("schedout", "BENCH_scheduler.json", "JSON baseline path for -scheduler (empty disables)")
 	flag.Parse()
 
-	if !*all && *table == 0 && *fig == 0 && *report == "" && !*faultMatrix && !*fleetBench && !*boBench && !*walBench && !*gwBench && !*cpBench && !*ingestBench && !*schedBench {
+	// The standalone harnesses need no trained models. Each selected one runs,
+	// in this order, before the (expensive) table/figure pipeline spins up.
+	harnesses := []struct {
+		on  bool
+		run func() error
+	}{
+		{*schedBench, func() error { return runSchedBench(os.Stdout, *schedRooms, *schedMinutes, 13, *schedOut) }},
+		{*ingestBench, func() error { return runIngestBench(os.Stdout, *ingestSamples, *ingestOut) }},
+		{*cpBench, func() error { return runControlplaneBench(os.Stdout, *cpRooms, *cpTrials, *cpGateway, *cpOut) }},
+		{*gwBench, func() error { return runGatewayBench(os.Stdout, *gwDevices, *gwWindows, *gwOps, *gwOut) }},
+		{*walBench, func() error { return runWALBench(os.Stdout, *walOut) }},
+		{*boBench, func() error { return runBOBench(os.Stdout, *boOut) }},
+	}
+	paper := *all || *table != 0 || *fig != 0 || *report != "" || *faultMatrix
+	selected := paper
+	for _, h := range harnesses {
+		selected = selected || h.on
+	}
+	if !selected {
 		flag.Usage()
 		os.Exit(2)
 	}
-	// The scheduler sweep uses training-free policies; run standalone.
-	if *schedBench {
-		if err := runSchedBench(os.Stdout, *schedRooms, *schedMinutes, 13, *schedOut); err != nil {
-			fmt.Fprintln(os.Stderr, "teslabench:", err)
-			os.Exit(1)
-		}
-		if !*all && *table == 0 && *fig == 0 && *report == "" && !*faultMatrix && !*fleetBench && !*boBench && !*walBench && !*gwBench && !*cpBench && !*ingestBench {
-			return
+	for _, h := range harnesses {
+		if h.on {
+			exitOn(h.run())
 		}
 	}
-	// The ingest pipeline harness needs no trained models; run standalone.
-	if *ingestBench {
-		if err := runIngestBench(os.Stdout, *ingestSamples, *ingestOut); err != nil {
-			fmt.Fprintln(os.Stderr, "teslabench:", err)
-			os.Exit(1)
-		}
-		if !*all && *table == 0 && *fig == 0 && *report == "" && !*faultMatrix && !*fleetBench && !*boBench && !*walBench && !*gwBench && !*cpBench {
-			return
-		}
+	if paper {
+		exitOn(run(*scale, *table, *fig, *all, *hours, *out, *report, *faultMatrix))
 	}
-	// The control-plane chaos sweep needs no trained models; run standalone.
-	if *cpBench {
-		if err := runControlplaneBench(os.Stdout, *cpRooms, *cpTrials, *cpGateway, *cpOut); err != nil {
-			fmt.Fprintln(os.Stderr, "teslabench:", err)
-			os.Exit(1)
-		}
-		if !*all && *table == 0 && *fig == 0 && *report == "" && !*faultMatrix && !*fleetBench && !*boBench && !*walBench && !*gwBench {
-			return
-		}
-	}
-	// The gateway load harness needs no trained models; run standalone.
-	if *gwBench {
-		if err := runGatewayBench(os.Stdout, *gwDevices, *gwWindows, *gwOps, *gwOut); err != nil {
-			fmt.Fprintln(os.Stderr, "teslabench:", err)
-			os.Exit(1)
-		}
-		if !*all && *table == 0 && *fig == 0 && *report == "" && !*faultMatrix && !*fleetBench && !*boBench && !*walBench {
-			return
-		}
-	}
-	// The durable-store benchmarks need no trained models; run standalone.
-	if *walBench {
-		if err := runWALBench(os.Stdout, *walOut); err != nil {
-			fmt.Fprintln(os.Stderr, "teslabench:", err)
-			os.Exit(1)
-		}
-		if !*all && *table == 0 && *fig == 0 && *report == "" && !*faultMatrix && !*fleetBench && !*boBench {
-			return
-		}
-	}
-	// The surrogate benchmarks need no trained models either; run standalone.
-	if *boBench {
-		if err := runBOBench(os.Stdout, *boOut); err != nil {
-			fmt.Fprintln(os.Stderr, "teslabench:", err)
-			os.Exit(1)
-		}
-		if !*all && *table == 0 && *fig == 0 && *report == "" && !*faultMatrix && !*fleetBench {
-			return
-		}
-	}
-	// The fleet sweep needs no trained models; run it standalone before the
-	// (expensive) table/figure pipeline spins up.
-	if *fleetBench {
-		if err := runFleetBench(os.Stdout, *fleetRooms, *fleetWorkers, *fleetMinutes, 13, *benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "teslabench:", err)
-			os.Exit(1)
-		}
-		if !*all && *table == 0 && *fig == 0 && *report == "" && !*faultMatrix {
-			return
-		}
-	}
-	if err := run(*scale, *table, *fig, *all, *hours, *out, *report, *faultMatrix); err != nil {
+}
+
+// exitOn reports a harness failure and exits non-zero; nil is a no-op.
+func exitOn(err error) {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "teslabench:", err)
 		os.Exit(1)
 	}

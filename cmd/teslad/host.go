@@ -39,7 +39,7 @@ func newHost(cfg fleet.Config, op *operator) (*host, error) {
 	queues := make([]*telemetry.Queue, n)
 	var err error
 	h.runners, err = parallel.MapErr(cfg.Workers, n, func(i int) (*fleet.Runner, error) {
-		queues[i] = telemetry.NewQueue(512)
+		queues[i] = cfg.NewQueue()
 		return fleet.NewRunner(cfg, i, queues[i], "teslad")
 	})
 	for i, r := range h.runners {

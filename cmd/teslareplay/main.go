@@ -1,8 +1,10 @@
 // Command teslareplay evaluates trained models against a recorded telemetry
 // trace (CSV written by teslactl/teslatrain): it reports the multi-horizon
 // DC-temperature and cooling-energy MAPE of TESLA's model on that trace,
-// and scans the trace for sensor anomalies (stuck probes, spikes) with the
-// telemetry detector.
+// then replays the safety supervisor over the trace offline and lists the
+// DC probes its validator quarantines (NaN, implausible, spiking,
+// flat-lined or drifting readings) — the same validator every live room
+// runs. -limit sets the cold-aisle limit the supervisor enforces.
 //
 // With -store it instead inspects a durable room store (the WAL + snapshot
 // directory teslad and fleet runs write under -datadir): it performs the
@@ -13,7 +15,7 @@
 //
 // Usage:
 //
-//	teslareplay -trace run.csv [-scale ci] [-stride 7]
+//	teslareplay -trace run.csv [-scale ci] [-stride 7] [-limit 22]
 //	teslareplay -store /var/lib/teslad/room-0 [-csv trace.csv] [-limit 22]
 package main
 
@@ -25,9 +27,9 @@ import (
 	"tesla/internal/dataset"
 	"tesla/internal/experiment"
 	"tesla/internal/model"
+	"tesla/internal/safety"
 	"tesla/internal/stats"
 	"tesla/internal/store"
-	"tesla/internal/telemetry"
 )
 
 func main() {
@@ -36,7 +38,7 @@ func main() {
 	stride := flag.Int("stride", 7, "evaluation window stride")
 	storeDir := flag.String("store", "", "durable room store (WAL + snapshots) to inspect instead of a CSV trace")
 	csvOut := flag.String("csv", "", "with -store: write the rebuilt trace to this CSV file")
-	coldLim := flag.Float64("limit", 22, "with -store: cold-aisle limit for the violation count")
+	coldLim := flag.Float64("limit", 22, "cold-aisle limit: the violation count with -store, the supervisor's limit with -trace")
 	flag.Parse()
 
 	var err error
@@ -44,7 +46,7 @@ func main() {
 	case *storeDir != "":
 		err = runStore(*storeDir, *csvOut, *coldLim)
 	case *tracePath != "":
-		err = run(*tracePath, *scale, *stride)
+		err = run(*tracePath, *scale, *stride, *coldLim)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -147,7 +149,10 @@ func runStore(dir, csvOut string, coldLim float64) error {
 	return nil
 }
 
-func run(tracePath, scaleName string, stride int) error {
+func run(tracePath, scaleName string, stride int, coldLim float64) error {
+	if stride < 1 {
+		return fmt.Errorf("-stride must be >= 1, got %d", stride)
+	}
 	f, err := os.Open(tracePath)
 	if err != nil {
 		return err
@@ -213,23 +218,52 @@ func run(tracePath, scaleName string, stride int) error {
 	fmt.Printf("  DC temperature MAPE: %6.2f%%\n", mapeT)
 	fmt.Printf("  cooling energy MAPE: %6.2f%%\n", mapeE)
 
-	// Sensor health scan over the recorded series.
-	db := telemetry.NewDB()
-	for i := 0; i < tr.Len(); i++ {
-		for k := 0; k < tr.Nd(); k++ {
-			db.Insert("dc_temp", map[string]string{"sensor": fmt.Sprint(k)},
-				telemetry.Point{TimeS: tr.TimeS[i], Value: tr.DCTemps[k][i]})
-		}
+	supCfg := safety.DefaultConfig(coldLim, art.TBConf.ACU.SetpointMinC, art.TBConf.ACU.SetpointMaxC)
+	events, err := scanSensors(tr, supCfg)
+	if err != nil {
+		return err
 	}
-	det := telemetry.NewDetector(db)
-	anomalies := det.ScanAll(tr.TimeS[tr.Len()-1])
-	fmt.Printf("\nsensor health: %d anomalies\n", len(anomalies))
-	for i, a := range anomalies {
+	fmt.Printf("\nsensor health (safety supervisor, limit %.1f°C): %d quarantines\n", coldLim, len(events))
+	for i, e := range events {
 		if i >= 10 {
-			fmt.Printf("  ... %d more\n", len(anomalies)-10)
+			fmt.Printf("  ... %d more\n", len(events)-10)
 			break
 		}
-		fmt.Printf("  %-28s %-6s %s\n", a.Series, a.Kind, a.Detail)
+		fmt.Printf("  sensor %-3d step %-6d %s\n", e.Sensor, e.Step, e.Detail)
 	}
 	return nil
+}
+
+// recordedSetpoints replays a trace's recorded set-points as a policy: at
+// step t it commands the set-point the plant latched at t+1, so the
+// supervisor's command-echo check sees exactly what was actuated.
+type recordedSetpoints []float64
+
+func (recordedSetpoints) Name() string { return "recorded" }
+
+func (sp recordedSetpoints) Decide(_ *dataset.Trace, t int) float64 {
+	if t+1 < len(sp) {
+		return sp[t+1]
+	}
+	return sp[t]
+}
+
+// scanSensors replays the safety supervisor over a recorded trace, deciding
+// at every index, and returns the sensor-quarantine events its probe
+// validator raised.
+func scanSensors(tr *dataset.Trace, cfg safety.Config) ([]safety.Event, error) {
+	sup, err := safety.Wrap(recordedSetpoints(tr.Setpoint), cfg)
+	if err != nil {
+		return nil, err
+	}
+	var events []safety.Event
+	sup.SetSink(func(e safety.Event) {
+		if e.Kind == safety.EventQuarantine {
+			events = append(events, e)
+		}
+	})
+	for t := 0; t < tr.Len(); t++ {
+		sup.Decide(tr, t)
+	}
+	return events, nil
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -183,6 +185,46 @@ func (cl *cluster) waitDone(timeout time.Duration) FleetView {
 	return cl.waitFor(timeout, "all rooms done", func(v FleetView) bool { return v.Done == v.Rooms })
 }
 
+// waitHealth waits until the coordinator reports shard id at health h.
+func (cl *cluster) waitHealth(id string, h ShardHealth, timeout time.Duration) {
+	cl.t.Helper()
+	cl.waitFor(timeout, fmt.Sprintf("%s %s", id, h), func(v FleetView) bool {
+		for _, sh := range v.Shards {
+			if sh.ID == id && sh.Health == h {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// zombie stalls shard id's heartbeats until the coordinator declares it
+// dead, then resumes them: its next beat is fenced while its rooms are
+// still stepping.
+func (cl *cluster) zombie(id string) {
+	cl.t.Helper()
+	cl.shards[id].PauseHeartbeats()
+	cl.waitHealth(id, ShardDead, 30*time.Second)
+	cl.shards[id].ResumeHeartbeats()
+}
+
+// midFlight waits until a hosted, unfinished room is at a step in [lo, hi]
+// and returns its placement.
+func (cl *cluster) midFlight(lo, hi int) RoomPlacement {
+	cl.t.Helper()
+	var got RoomPlacement
+	cl.waitFor(30*time.Second, "a room mid-flight", func(v FleetView) bool {
+		for _, p := range v.Placements {
+			if !p.Done && p.Shard != "" && p.Step >= lo && p.Step <= hi {
+				got = p
+				return true
+			}
+		}
+		return false
+	})
+	return got
+}
+
 // assertHashes compares every finished room's trajectory hash against the
 // uninterrupted reference.
 func assertHashes(t *testing.T, v FleetView, want map[int]uint64) {
@@ -259,16 +301,7 @@ func TestFailoverBitIdentical(t *testing.T) {
 	cl := startCluster(t, fcfg, map[string]string{"shard-a": shared, "shard-b": shared}, 2*time.Millisecond)
 
 	// Kill a shard while it hosts at least one room mid-horizon.
-	var victim string
-	cl.waitFor(30*time.Second, "a room mid-flight", func(v FleetView) bool {
-		for _, p := range v.Placements {
-			if !p.Done && p.Shard != "" && p.Step >= 5 && p.Step <= 40 {
-				victim = p.Shard
-				return true
-			}
-		}
-		return false
-	})
+	victim := cl.midFlight(5, 40).Shard
 	cl.shards[victim].Kill()
 
 	v := cl.waitDone(60 * time.Second)
@@ -313,6 +346,46 @@ func TestFailoverBitIdentical(t *testing.T) {
 	}
 }
 
+// TestFencedSurvivorLedgerExact: the survivor of a failover stalls its
+// heartbeats until the coordinator declares it dead too. Its next beat is
+// fenced, so it relinquishes every room it hosts, re-registers and is handed
+// the same rooms again. Each successor host counts the steps below its start
+// as sequence gaps, so the fenced host's samples must leave the ledger:
+// samples + gaps still equals rooms × steps exactly.
+func TestFencedSurvivorLedgerExact(t *testing.T) {
+	fcfg := testFleetCfg(4, 23)
+	fcfg.EvalS = 18000 // 300 steps: keep rooms mid-flight through the fence window
+	want := referenceHashes(t, fcfg)
+	shared := t.TempDir()
+	cl := startCluster(t, fcfg, map[string]string{"shard-a": shared, "shard-b": shared}, 2*time.Millisecond)
+
+	victim := cl.midFlight(5, math.MaxInt).Shard
+	survivor := "shard-a"
+	if victim == survivor {
+		survivor = "shard-b"
+	}
+	cl.shards[victim].Kill()
+	cl.waitFor(30*time.Second, "every room on the survivor", func(v FleetView) bool {
+		for _, p := range v.Placements {
+			if !p.Done && p.Shard != survivor {
+				return false
+			}
+		}
+		return true
+	})
+	cl.zombie(survivor)
+
+	v := cl.waitDone(120 * time.Second)
+	assertHashes(t, v, want)
+	if got := cl.shards[survivor].FencedRooms(); got < 1 {
+		t.Fatalf("survivor relinquished %d rooms after fencing, want >= 1", got)
+	}
+	if got := v.Rollup.Samples + v.Rollup.Gaps; got != 4*300 {
+		t.Errorf("samples(%d) + gaps(%d) = %d, want 1200 — the fenced host's samples were counted again as gaps",
+			v.Rollup.Samples, v.Rollup.Gaps, got)
+	}
+}
+
 // TestLiveMigrationBitIdentical drains a mid-flight room on its source
 // shard, ships its snapshot + WAL to a shard with a completely separate
 // data root, resumes it there, and proves the finished trajectory matches
@@ -322,17 +395,8 @@ func TestLiveMigrationBitIdentical(t *testing.T) {
 	want := referenceHashes(t, fcfg)
 	cl := startCluster(t, fcfg, map[string]string{"shard-a": t.TempDir(), "shard-b": t.TempDir()}, 2*time.Millisecond)
 
-	var room int
-	var source string
-	cl.waitFor(30*time.Second, "a room mid-flight", func(v FleetView) bool {
-		for _, p := range v.Placements {
-			if !p.Done && p.Shard != "" && p.Step >= 8 && p.Step <= 40 {
-				room, source = p.Room, p.Shard
-				return true
-			}
-		}
-		return false
-	})
+	mid := cl.midFlight(8, 40)
+	room, source := mid.Room, mid.Shard
 	target := "shard-a"
 	if source == target {
 		target = "shard-b"
@@ -396,27 +460,8 @@ func TestZombieShardFenced(t *testing.T) {
 	shared := t.TempDir()
 	cl := startCluster(t, fcfg, map[string]string{"shard-a": shared, "shard-b": shared}, 2*time.Millisecond)
 
-	var victim string
-	cl.waitFor(30*time.Second, "a room mid-flight", func(v FleetView) bool {
-		for _, p := range v.Placements {
-			if !p.Done && p.Shard != "" && p.Step >= 5 {
-				victim = p.Shard
-				return true
-			}
-		}
-		return false
-	})
-	cl.shards[victim].PauseHeartbeats()
-
-	cl.waitFor(30*time.Second, "zombie declared dead", func(v FleetView) bool {
-		for _, sh := range v.Shards {
-			if sh.ID == victim && sh.Health == ShardDead {
-				return true
-			}
-		}
-		return false
-	})
-	cl.shards[victim].ResumeHeartbeats()
+	victim := cl.midFlight(5, math.MaxInt).Shard
+	cl.zombie(victim)
 
 	v := cl.waitDone(120 * time.Second)
 	assertHashes(t, v, want)
@@ -429,14 +474,7 @@ func TestZombieShardFenced(t *testing.T) {
 		t.Errorf("zombie relinquished %d rooms after fencing, want >= 1", got)
 	}
 	// The fenced shard re-registered as a fresh worker.
-	cl.waitFor(10*time.Second, "zombie re-registered", func(v FleetView) bool {
-		for _, sh := range v.Shards {
-			if sh.ID == victim && sh.Health == ShardAlive {
-				return true
-			}
-		}
-		return false
-	})
+	cl.waitHealth(victim, ShardAlive, 10*time.Second)
 }
 
 // TestEpochFencingRejectsStaleReports exercises the coordinator's fencing

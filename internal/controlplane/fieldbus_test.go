@@ -34,16 +34,7 @@ func TestFieldBusFailoverBitIdentical(t *testing.T) {
 	shared := t.TempDir()
 	cl := startClusterFB(t, fcfg, map[string]string{"shard-a": shared, "shard-b": shared}, 2*time.Millisecond, true)
 
-	var victim string
-	cl.waitFor(30*time.Second, "a room mid-flight", func(v FleetView) bool {
-		for _, p := range v.Placements {
-			if !p.Done && p.Shard != "" && p.Step >= 5 && p.Step <= 40 {
-				victim = p.Shard
-				return true
-			}
-		}
-		return false
-	})
+	victim := cl.midFlight(5, 40).Shard
 	cl.shards[victim].Kill()
 
 	v := cl.waitDone(60 * time.Second)
@@ -88,17 +79,8 @@ func TestFieldBusMigrationBitIdentical(t *testing.T) {
 	want := referenceHashes(t, fcfg)
 	cl := startClusterFB(t, fcfg, map[string]string{"shard-a": t.TempDir(), "shard-b": t.TempDir()}, 2*time.Millisecond, true)
 
-	var room int
-	var source string
-	cl.waitFor(30*time.Second, "a room mid-flight", func(v FleetView) bool {
-		for _, p := range v.Placements {
-			if !p.Done && p.Shard != "" && p.Step >= 8 && p.Step <= 40 {
-				room, source = p.Room, p.Shard
-				return true
-			}
-		}
-		return false
-	})
+	mid := cl.midFlight(8, 40)
+	room, source := mid.Room, mid.Shard
 	target := "shard-a"
 	if source == target {
 		target = "shard-b"

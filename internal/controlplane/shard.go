@@ -398,11 +398,7 @@ func (s *Shard) assign(room int, epoch uint64, startSeqs []uint64) (AssignRespon
 
 	cfg := s.cfg.Fleet
 	cfg.DataDir = s.cfg.DataDir
-	queueCap := cfg.QueueCap
-	if queueCap <= 0 {
-		queueCap = 512
-	}
-	q := telemetry.NewQueue(queueCap)
+	q := cfg.NewQueue()
 
 	h := &roomHost{
 		room:     room,
@@ -565,12 +561,16 @@ func (s *Shard) closeFieldBus(h *roomHost) []uint64 {
 	return seqs
 }
 
-// relinquish stops a host's loop, closes (or abandons) its store, folds its
-// telemetry into the retired rollup and drops it from the room map. Returns
-// the step the room stopped at. Idempotent: a concurrent second caller
+// relinquish stops a host's loop, checkpoints and closes its store, folds
+// its telemetry into the retired rollup and drops it from the room map.
+// Returns the step the room stopped at. A fenced relinquish — the
+// coordinator already handed the room to a successor — keeps an unfinished
+// room's telemetry out of the rollup, the accounting a killed host gets: the
+// successor counts every step below its start as a sequence gap, so these
+// samples would be counted twice. Idempotent: a concurrent second caller
 // (heartbeat fencing racing a drain RPC) blocks until the first finishes and
 // gets the same step.
-func (s *Shard) relinquish(h *roomHost, abandon bool) int {
+func (s *Shard) relinquish(h *roomHost, fenced bool) int {
 	h.relOnce.Do(func() {
 		h.stopOnce.Do(func() { close(h.stop) })
 		<-h.loopDone
@@ -585,14 +585,14 @@ func (s *Shard) relinquish(h *roomHost, abandon bool) int {
 		finished := h.state == hostDone || h.state == hostFailed
 		s.mu.Unlock()
 		if !finished {
-			if abandon {
-				h.runner.Abandon()
-			} else if n, err := h.runner.Drain(); err == nil {
+			if n, err := h.runner.Drain(); err == nil {
 				step = n
 			}
 		}
 		s.mu.Lock()
-		s.retired.Merge(h.ing.Rollup())
+		if finished || !fenced {
+			s.retired.Merge(h.ing.Rollup())
+		}
 		delete(s.rooms, h.room)
 		s.mu.Unlock()
 		h.relStep = step
@@ -753,7 +753,7 @@ func (s *Shard) beat() bool {
 			if ok {
 				// The room lives elsewhere now; checkpoint, close, release
 				// the lock so the new owner can open the store.
-				s.relinquish(h, false)
+				s.relinquish(h, true)
 			}
 		}
 		return true
@@ -769,7 +769,7 @@ func (s *Shard) beat() bool {
 		}
 		s.mu.Unlock()
 		for _, h := range hosts {
-			s.relinquish(h, false)
+			s.relinquish(h, true)
 		}
 		return s.register()
 	default:

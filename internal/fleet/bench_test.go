@@ -8,8 +8,8 @@ import (
 // BenchmarkFleetStep measures fleet throughput in control steps per second:
 // each op is one control step in every room (supervised policy decision +
 // one minute of plant physics + telemetry push). Rooms fan out over
-// GOMAXPROCS workers. This is the perf baseline BENCH_fleet.json snapshots;
-// later PRs regress against it.
+// GOMAXPROCS workers, in memory: no WAL, no field bus. The end-to-end
+// baseline with both is the benchmark module's shard-modelfree workload.
 func BenchmarkFleetStep(b *testing.B) {
 	for _, rooms := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("rooms=%d", rooms), func(b *testing.B) {

@@ -129,11 +129,6 @@ type Config struct {
 	// SyncEvery is the WAL fsync batch: 0 syncs every record (default,
 	// strongest durability), n > 0 every n records, negative never.
 	SyncEvery int
-	// HaltAfter is a crash-simulation hook for recovery tests: when > 0,
-	// each room's loop halts before executing evaluation step HaltAfter
-	// (global step index) and returns WITHOUT closing its store — exactly
-	// the torn state a killed process leaves. Zero disables.
-	HaltAfter int
 
 	// Quantize, when set, transforms every decided set-point before it is
 	// applied, logged and hashed — on the live path AND during WAL replay.
@@ -262,6 +257,15 @@ func (c *Config) nameOf(i int) string {
 // running room (the sharded control plane's migration path) need it.
 func (c *Config) RoomName(i int) string { return c.nameOf(i) }
 
+// NewQueue builds one room's telemetry queue at QueueCap — the one place the
+// 512-sample default is resolved, for every host.
+func (c *Config) NewQueue() *telemetry.Queue {
+	if c.QueueCap > 0 {
+		return telemetry.NewQueue(c.QueueCap)
+	}
+	return telemetry.NewQueue(512)
+}
+
 // RoomResult is one room's authoritative outcome, computed inside the room's
 // own control loop (the ingestion rollup is the lossy observability view).
 type RoomResult struct {
@@ -297,9 +301,6 @@ type RoomResult struct {
 	// Recovery reports what the room's durable store replayed on boot (zero
 	// when durability is disabled or the store was fresh).
 	Recovery RecoveryInfo `json:"recovery"`
-	// Halted is true when the HaltAfter crash hook stopped this room's loop
-	// mid-horizon (the store is deliberately left unclosed).
-	Halted bool `json:"halted,omitempty"`
 
 	LatencyP50 time.Duration `json:"latency_p50_ns"`
 	LatencyP99 time.Duration `json:"latency_p99_ns"`
@@ -347,18 +348,16 @@ func plannedOf(r *Result) int {
 	return r.Rooms[0].PlannedSteps
 }
 
-// Run executes the fleet: every room's full horizon fans out over the worker
-// pool while one ingestor goroutine drains the telemetry queues into the
-// fleet rollup. The per-room results are bit-identical for any Workers value;
-// the rollup sees every sample that survived its bounded queue, with drops
-// accounted.
+// Run executes the fleet: every room is a Runner — built, stepped to the end
+// of its horizon and finished — fanned out over the worker pool while one
+// ingestor goroutine drains the telemetry queues into the fleet rollup. It
+// is the in-memory reference the other hosts compare against: no RPC, no
+// field bus, no lockstep barrier. The per-room results are bit-identical for
+// any Workers value; the rollup sees every sample that survived its bounded
+// queue, with drops accounted.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	queueCap := cfg.QueueCap
-	if queueCap <= 0 {
-		queueCap = 512
 	}
 	interval := cfg.IngestEvery
 	if interval <= 0 {
@@ -367,7 +366,7 @@ func Run(cfg Config) (*Result, error) {
 
 	queues := make([]*telemetry.Queue, len(cfg.Rooms))
 	for i := range queues {
-		queues[i] = telemetry.NewQueue(queueCap)
+		queues[i] = cfg.NewQueue()
 	}
 	ing := telemetry.NewIngestor(queues, cfg.ColdLimitC, cfg.Testbed.SamplePeriodS, cfg.Batch)
 
@@ -377,7 +376,17 @@ func Run(cfg Config) (*Result, error) {
 
 	start := time.Now()
 	rooms, err := parallel.MapErr(cfg.Workers, len(cfg.Rooms), func(i int) (RoomResult, error) {
-		return runRoom(&cfg, i, queues[i])
+		r, err := NewRunner(cfg, i, queues[i], "")
+		if err != nil {
+			return RoomResult{}, err
+		}
+		for !r.Done() {
+			if err := r.Step(); err != nil {
+				r.Abandon()
+				return RoomResult{}, err
+			}
+		}
+		return r.Finish()
 	})
 	wall := time.Since(start)
 	close(stop)

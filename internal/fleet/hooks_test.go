@@ -91,11 +91,9 @@ func TestQuantizedRecoveryBitIdentical(t *testing.T) {
 	cfg := mk()
 	cfg.DataDir = t.TempDir()
 	cfg.SnapshotEvery = 8
-	cfg.HaltAfter = 31
-	if _, err := Run(cfg); err != nil {
+	if _, err := crashAt(cfg, 31); err != nil {
 		t.Fatal(err)
 	}
-	cfg.HaltAfter = 0
 	got, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

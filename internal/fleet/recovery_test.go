@@ -67,6 +67,30 @@ func durableShortConfig(n int, seed uint64) Config {
 	return cfg
 }
 
+// crashAt kills every room of cfg before global evaluation step k, the way a
+// dying host leaves it: each room is built (recovering whatever its store
+// already holds), stepped while StepIndex() < k, then abandoned — buffered
+// WAL records lost, tail possibly torn, store never closed. It returns each
+// room's step index at the crash.
+func crashAt(cfg Config, k int) ([]int, error) {
+	steps := make([]int, len(cfg.Rooms))
+	for i := range cfg.Rooms {
+		r, err := NewRunner(cfg, i, nil, "")
+		if err != nil {
+			return nil, err
+		}
+		for r.StepIndex() < k {
+			if err := r.Step(); err != nil {
+				r.Abandon()
+				return nil, err
+			}
+		}
+		steps[i] = r.StepIndex()
+		r.Abandon()
+	}
+	return steps, nil
+}
+
 // assertRecoveredMatches compares a recovered fleet result against the
 // uninterrupted reference room by room, bit for bit.
 func assertRecoveredMatches(t *testing.T, ref, got *Result) {
@@ -127,22 +151,17 @@ func TestFleetCrashRecoveryBitIdentical(t *testing.T) {
 			cfg.SnapshotEvery = tc.snapEvery
 			cfg.SyncEvery = tc.syncEvery
 			cfg.Workers = tc.workers
-			cfg.HaltAfter = tc.k
 
-			killed, err := Run(cfg)
+			killed, err := crashAt(cfg, tc.k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, rr := range killed.Rooms {
-				if !rr.Halted {
-					t.Fatalf("room %d did not halt at step %d", i, tc.k)
-				}
-				if rr.Steps != tc.k {
-					t.Fatalf("room %d executed %d steps before the crash, want %d", i, rr.Steps, tc.k)
+			for i, steps := range killed {
+				if steps != tc.k {
+					t.Fatalf("room %d executed %d steps before the crash, want %d", i, steps, tc.k)
 				}
 			}
 
-			cfg.HaltAfter = 0
 			got, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -150,9 +169,6 @@ func TestFleetCrashRecoveryBitIdentical(t *testing.T) {
 			for i, rr := range got.Rooms {
 				if !rr.Recovery.Recovered {
 					t.Fatalf("room %d recovered nothing from the store", i)
-				}
-				if rr.Halted {
-					t.Fatalf("room %d halted on the recovery run", i)
 				}
 				if tc.k > tc.snapEvery && rr.Recovery.SnapshotStep < 0 {
 					t.Errorf("room %d: no checkpoint restored despite %d steps at interval %d",
@@ -174,11 +190,9 @@ func TestFleetRecoveryNonDurablePolicy(t *testing.T) {
 	}
 	cfg := shortConfig(2, 5)
 	cfg.DataDir = t.TempDir()
-	cfg.HaltAfter = 25
-	if _, err := Run(cfg); err != nil {
+	if _, err := crashAt(cfg, 25); err != nil {
 		t.Fatal(err)
 	}
-	cfg.HaltAfter = 0
 	got, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -272,13 +286,11 @@ func TestFleetCrashRecoveryFuzz(t *testing.T) {
 			kills = append(kills, kills[0]+1+rng.Intn(evalSteps-1-kills[0]))
 		}
 		for _, k := range kills {
-			cfg.HaltAfter = k
-			if _, err := Run(cfg); err != nil {
+			if _, err := crashAt(cfg, k); err != nil {
 				t.Fatalf("iter %d (snap=%d sync=%d kills=%v): crash run: %v",
 					it, cfg.SnapshotEvery, cfg.SyncEvery, kills, err)
 			}
 		}
-		cfg.HaltAfter = 0
 		got, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("iter %d (snap=%d sync=%d kills=%v): recovery run: %v",

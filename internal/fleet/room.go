@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"path/filepath"
 	"time"
 
 	"tesla/internal/control"
@@ -234,9 +233,8 @@ func (rr *roomRun) snapInterval() int {
 }
 
 // stepOnce executes evaluation step i live: decide, actuate, sample, push
-// telemetry, fold accumulators, log, checkpoint on the interval. The body is
-// shared by the batch loop (run) and the step-wise Runner the control plane
-// hosts, so both produce the same bits.
+// telemetry, fold accumulators, log, checkpoint on the interval. Runner.Step
+// is its one caller, so every host produces the same bits.
 func (rr *roomRun) stepOnce(i int, d control.Durable, durable bool, snapEvery int) error {
 	stepStart := time.Now()
 	sp := rr.sup.Decide(rr.tr, rr.tr.Len()-1)
@@ -302,32 +300,6 @@ func (rr *roomRun) closeStore() error {
 	return nil
 }
 
-// run executes the room's remaining horizon live: decide, actuate, log,
-// checkpoint. When the HaltAfter crash hook fires the store is abandoned the
-// way a killed process leaves it — unflushed buffer lost, lock released by
-// descriptor death, tail possibly torn.
-func (rr *roomRun) run() error {
-	cfg := rr.cfg
-	d, durable := rr.durablePolicy()
-	snapEvery := rr.snapInterval()
-
-	rr.res.latencies = make([]time.Duration, 0, rr.evalSteps-rr.startStep)
-	for i := rr.startStep; i < rr.evalSteps; i++ {
-		if cfg.HaltAfter > 0 && i == cfg.HaltAfter {
-			rr.res.Halted = true
-			if rr.st != nil {
-				rr.st.Abandon()
-				rr.st = nil
-			}
-			return nil
-		}
-		if err := rr.stepOnce(i, d, durable, snapEvery); err != nil {
-			return err
-		}
-	}
-	return rr.closeStore()
-}
-
 // finish divides the accumulators and collects the supervisor's counters.
 func (rr *roomRun) finish() RoomResult {
 	if rr.res.Steps > 0 {
@@ -350,31 +322,4 @@ func (rr *roomRun) finish() RoomResult {
 	ls := ComputeLatencyStats(lat)
 	rr.res.LatencyP50, rr.res.LatencyP99 = ls.P50, ls.P99
 	return rr.res
-}
-
-// runRoom executes one room's full horizon. With durability enabled the room
-// first recovers whatever a previous process persisted under
-// DataDir/<room-name>, replays the WAL tail through the real decision path,
-// and only then continues live — landing on the exact trajectory of a run
-// that never stopped.
-func runRoom(cfg *Config, idx int, q *telemetry.Queue) (RoomResult, error) {
-	rr, err := newRoomRun(cfg, idx, q)
-	if err != nil {
-		return RoomResult{Room: idx, Name: cfg.nameOf(idx)}, err
-	}
-	if cfg.DataDir != "" {
-		if err := rr.openStore(filepath.Join(cfg.DataDir, rr.res.Name)); err != nil {
-			return rr.res, err
-		}
-	}
-	if err := rr.warmup(); err != nil {
-		return rr.res, err
-	}
-	if err := rr.replay(); err != nil {
-		return rr.res, err
-	}
-	if err := rr.run(); err != nil {
-		return rr.res, err
-	}
-	return rr.finish(), nil
 }

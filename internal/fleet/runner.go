@@ -11,13 +11,10 @@ import (
 	"tesla/internal/testbed"
 )
 
-// Runner is the step-wise form of one room's control loop, built for hosts
-// that need to start, pause, hand off or kill a room mid-horizon — the
-// sharded control plane and teslad. It drives exactly the same code path as
-// Run's batch loop (construction, recovery, per-step execution and
-// accumulator folding are shared with roomRun), so a room stepped by a
-// Runner produces the same trajectory hash, bit for bit, as the same room
-// inside a batch fleet run.
+// Runner is one room's control loop, stepped by its host: it can start,
+// pause, hand off or kill a room mid-horizon. Every host runs rooms this way
+// — Run, the sharded control plane, the scheduler and teslad — so a room
+// produces the same trajectory hash, bit for bit, whichever host steps it.
 //
 // A Runner is not safe for concurrent use; give each room one goroutine.
 type Runner struct {
@@ -46,11 +43,7 @@ func NewRunner(cfg Config, idx int, q *telemetry.Queue, lockHolder string) (*Run
 		return nil, fmt.Errorf("fleet: room index %d outside fleet of %d", idx, len(cfg.Rooms))
 	}
 	if q == nil {
-		cap := cfg.QueueCap
-		if cap <= 0 {
-			cap = 512
-		}
-		q = telemetry.NewQueue(cap)
+		q = cfg.NewQueue()
 	}
 	r := &Runner{cfg: cfg}
 	rr, err := newRoomRun(&r.cfg, idx, q)
@@ -135,8 +128,7 @@ func (r *Runner) StoreStats() (st store.Stats, ok bool) {
 // runner; callers must not mutate them.
 func (r *Runner) LastSample() testbed.Sample { return r.rr.last }
 
-// Step executes one evaluation step — identical, bit for bit, to the same
-// step inside a batch fleet run.
+// Step executes the next evaluation step live.
 func (r *Runner) Step() error {
 	if r.closed {
 		return fmt.Errorf("fleet: room %s: runner closed", r.rr.res.Name)
@@ -165,8 +157,7 @@ func (r *Runner) Drain() (step int, err error) {
 }
 
 // Finish completes a Done Runner: final checkpoint, store closed, metrics
-// divided and counters collected. The result matches the RoomResult the same
-// room produces inside a batch fleet run.
+// divided and counters collected.
 func (r *Runner) Finish() (RoomResult, error) {
 	if r.closed {
 		return r.rr.res, fmt.Errorf("fleet: room %s: runner closed", r.rr.res.Name)

@@ -7,9 +7,9 @@ import (
 	"tesla/internal/store"
 )
 
-// TestRunnerMatchesBatchRun: a room stepped one Step() at a time produces
-// the same bits as the same room inside a batch fleet Run — the property the
-// sharded control plane stands on.
+// TestRunnerMatchesBatchRun: a room stepped on its own, one Step() at a
+// time, produces the same bits as the same room inside a fleet Run beside
+// its siblings — the property the sharded control plane stands on.
 func TestRunnerMatchesBatchRun(t *testing.T) {
 	ref, err := Run(shortConfig(3, 7))
 	if err != nil {
