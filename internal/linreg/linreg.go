@@ -89,26 +89,15 @@ func Fit(x, y *mat.Dense, alpha float64) (*Model, error) {
 
 // Predict evaluates the model for a single feature vector, returning one
 // value per output.
-func (m *Model) Predict(x []float64) []float64 {
+func (m *Model) Predict(x []float64) []float64 { return m.PredictInto(x, nil) }
+
+// PredictInto is Predict with a caller-provided output buffer. It panics when
+// x does not have one value per feature: a short vector would otherwise
+// predict from a prefix of the weights.
+func (m *Model) PredictInto(x, out []float64) []float64 {
 	if len(x) != m.Weights.Rows {
 		panic(fmt.Sprintf("linreg: feature length %d, model expects %d", len(x), m.Weights.Rows))
 	}
-	out := make([]float64, len(m.Bias))
-	copy(out, m.Bias)
-	for k, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		wrow := m.Weights.Row(k)
-		for j, wv := range wrow {
-			out[j] += xv * wv
-		}
-	}
-	return out
-}
-
-// PredictInto is Predict with a caller-provided output buffer.
-func (m *Model) PredictInto(x, out []float64) []float64 {
 	if cap(out) < len(m.Bias) {
 		out = make([]float64, len(m.Bias))
 	}

@@ -129,6 +129,26 @@ func TestPredictPanicsOnWrongLength(t *testing.T) {
 	m.Predict([]float64{1})
 }
 
+// TestPredictIntoAndBatchRejectShortFeatures checks the length guard on the
+// buffered and batched paths: a short vector used to predict silently from a
+// prefix of the weights.
+func TestPredictIntoAndBatchRejectShortFeatures(t *testing.T) {
+	x := mat.NewFromSlice(3, 2, []float64{1, 2, 3, 4, 5, 6})
+	y := mat.NewFromSlice(3, 1, []float64{1, 2, 3})
+	m, _ := Fit(x, y, 1)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: short feature vector accepted", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("PredictInto", func() { m.PredictInto([]float64{1}, make([]float64, 1)) })
+	mustPanic("PredictBatch", func() { m.PredictBatch(mat.NewFromSlice(2, 1, []float64{1, 2})) })
+}
+
 func TestAccessors(t *testing.T) {
 	x := mat.NewFromSlice(3, 2, []float64{1, 2, 3, 4, 5, 7})
 	y := mat.NewFromSlice(3, 1, []float64{1, 2, 3})
