@@ -217,9 +217,9 @@ type countingInput struct {
 	gathers uint64
 }
 
-func (c *countingInput) Name() string           { return "counting" }
-func (c *countingInput) Start(*Sink) error      { return nil }
-func (c *countingInput) Stop() error            { return nil }
+func (c *countingInput) Name() string      { return "counting" }
+func (c *countingInput) Start(*Sink) error { return nil }
+func (c *countingInput) Stop() error       { return nil }
 func (c *countingInput) Gather(ts float64) error {
 	c.mu.Lock()
 	c.gathers++

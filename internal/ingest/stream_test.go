@@ -62,10 +62,10 @@ type fakeAddr struct{}
 func (fakeAddr) Network() string { return "tcp" }
 func (fakeAddr) String() string  { return "fake" }
 
-func (c *fakeSubConn) LocalAddr() net.Addr                { return fakeAddr{} }
-func (c *fakeSubConn) RemoteAddr() net.Addr               { return fakeAddr{} }
-func (c *fakeSubConn) SetDeadline(t time.Time) error      { return c.SetWriteDeadline(t) }
-func (c *fakeSubConn) SetReadDeadline(t time.Time) error  { return nil }
+func (c *fakeSubConn) LocalAddr() net.Addr               { return fakeAddr{} }
+func (c *fakeSubConn) RemoteAddr() net.Addr              { return fakeAddr{} }
+func (c *fakeSubConn) SetDeadline(t time.Time) error     { return c.SetWriteDeadline(t) }
+func (c *fakeSubConn) SetReadDeadline(t time.Time) error { return nil }
 func (c *fakeSubConn) SetWriteDeadline(t time.Time) error {
 	c.mu.Lock()
 	c.deadline = t

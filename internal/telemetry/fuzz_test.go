@@ -72,7 +72,7 @@ func TestIngestLineMalformedTable(t *testing.T) {
 		line string
 		ok   bool
 	}{
-		{"empty", "", true},      // ignored
+		{"empty", "", true},       // ignored
 		{"comment", "# hi", true}, // ignored
 		{"whitespace", "   \t ", true},
 		{"missing fields", "meas 12", false},
@@ -86,8 +86,8 @@ func TestIngestLineMalformedTable(t *testing.T) {
 		{"bad timestamp", "m f=1 later", false},
 		{"good multi-field", "m,a=1 x=1,y=2 3", true},
 		{"trailing comma field", "m x=1, 3", false},
-		{"nan value parses", "m f=NaN 3", true},       // ParseFloat accepts NaN
-		{"inf timestamp parses", "m f=1 +Inf", true},  // documented: no range check
+		{"nan value parses", "m f=NaN 3", true},      // ParseFloat accepts NaN
+		{"inf timestamp parses", "m f=1 +Inf", true}, // documented: no range check
 		// No-escaping limits: a space inside a would-be tag value splits the
 		// record into four tokens and is rejected, not unescaped.
 		{"space in tag value", "m,host=node 3 f=1 12", false},

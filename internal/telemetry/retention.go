@@ -116,10 +116,10 @@ type aggSeries struct {
 
 // CompactStats is one compaction pass's (or the cumulative) exact ledger.
 type CompactStats struct {
-	RawCompacted    uint64 `json:"raw_compacted"`     // raw points folded into minute buckets
-	MinuteCompacted uint64 `json:"minute_compacted"`  // minute buckets folded into hour buckets
-	HourDropped     uint64 `json:"hour_dropped"`      // hour buckets aged out
-	LateDropped     uint64 `json:"late_dropped"`      // raw inserts rejected below the watermark
+	RawCompacted    uint64 `json:"raw_compacted"`    // raw points folded into minute buckets
+	MinuteCompacted uint64 `json:"minute_compacted"` // minute buckets folded into hour buckets
+	HourDropped     uint64 `json:"hour_dropped"`     // hour buckets aged out
+	LateDropped     uint64 `json:"late_dropped"`     // raw inserts rejected below the watermark
 }
 
 // TSDBStats is the store's observability snapshot.

@@ -65,7 +65,7 @@ func TestIngestLinesKeepsGoing(t *testing.T) {
 		"m f=notanumber 20", // line 2: bad value
 		"m f=3 30",
 		"",
-		"garbage",           // line 5: not a record
+		"garbage", // line 5: not a record
 		"m f=6 60",
 	}, "\n")
 	err := db.IngestLines(batch)
