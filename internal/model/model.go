@@ -154,6 +154,20 @@ type Prediction struct {
 	Constraint float64
 }
 
+// reshape sizes p's slices for horizon L, na inlet and nd DC sensors,
+// keeping those that already have that shape.
+func (p *Prediction) reshape(L, na, nd int) {
+	if len(p.AvgPower) != L {
+		p.AvgPower = make([]float64, L)
+	}
+	if p.ACUTemps == nil || p.ACUTemps.Rows != L || p.ACUTemps.Cols != na {
+		p.ACUTemps = mat.New(L, na)
+	}
+	if p.DCTemps == nil || p.DCTemps.Rows != L || p.DCTemps.Cols != nd {
+		p.DCTemps = mat.New(L, nd)
+	}
+}
+
 // Objective returns Ô = Ê + D̂ (eq. 8) on the normalized scale, the quantity
 // TESLA minimizes. Normalization makes the two terms commensurate, exactly
 // as in the paper where all data is min-max normalized before modeling.

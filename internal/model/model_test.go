@@ -14,9 +14,13 @@ import (
 // the inlet temperature relaxes toward the set-point, DC sensors follow the
 // inlet with per-sensor offsets influenced by server power, and ACU power
 // falls linearly with the set-point/inlet residual.
-func syntheticTrace(n int, seed uint64) *dataset.Trace {
+func syntheticTrace(n int, seed uint64) *dataset.Trace { return syntheticTraceND(n, 4, seed) }
+
+// syntheticTraceND is syntheticTrace with nd DC sensors; the last one is the
+// cold-aisle maximum.
+func syntheticTraceND(n, nd int, seed uint64) *dataset.Trace {
 	r := rng.New(seed)
-	tr := dataset.NewTrace(60, 2, 4)
+	tr := dataset.NewTrace(60, 2, nd)
 	a := []float64{24, 24}
 	sp := 24.0
 	p := 0.15
@@ -28,7 +32,7 @@ func syntheticTrace(n int, seed uint64) *dataset.Trace {
 		for j := range a {
 			a[j] = 0.85*a[j] + 0.15*sp + 0.8*(p-0.2) + 0.03*r.Norm()
 		}
-		dc := make([]float64, 4)
+		dc := make([]float64, nd)
 		for k := range dc {
 			dc[k] = a[0] - 3 + 0.4*float64(k) + 2*p + 0.03*r.Norm()
 		}
@@ -40,7 +44,7 @@ func syntheticTrace(n int, seed uint64) *dataset.Trace {
 			ACUPowerKW:   power,
 			ACUTemps:     append([]float64(nil), a...),
 			DCTemps:      dc,
-			MaxColdAisle: dc[3],
+			MaxColdAisle: dc[nd-1],
 		})
 	}
 	return tr

@@ -12,22 +12,60 @@ import (
 // eq. 5): ASP → ACU → DCS → cooling energy, then derives the interruption
 // proxy D̂ (eqs. 6–7) and the thermal-safety constraint Ĉ (eq. 9).
 func (m *Model) Predict(h *History, setpoint float64) (*Prediction, error) {
-	sps := make([]float64, m.cfg.L)
-	for i := range sps {
-		sps[i] = setpoint
+	ln, err := m.Line(h)
+	if err != nil {
+		return nil, err
 	}
-	return m.PredictSeq(h, sps)
+	p := new(Prediction)
+	ln.Eval(setpoint, p)
+	return p, nil
 }
 
 // PredictSeq is Predict for an arbitrary set-point sequence s_{t+1..t+L};
 // model-accuracy evaluation on historical traces uses it with the actually
 // executed sequence.
 func (m *Model) PredictSeq(h *History, setpoints []float64) (*Prediction, error) {
-	if err := m.ValidateHistory(h); err != nil {
+	ln, err := m.Line(h)
+	if err != nil {
 		return nil, err
 	}
 	if len(setpoints) != m.cfg.L {
 		return nil, fmt.Errorf("model: %d set-points for horizon %d", len(setpoints), m.cfg.L)
+	}
+	p := new(Prediction)
+	ln.EvalSeq(setpoints, p)
+	return p, nil
+}
+
+// Line is the cascade for one history, split at the set-point. Of the
+// cascade's inputs only the set-point sequence and what follows from it
+// (the predicted inlets â) vary between the optimizer's candidates; the
+// history features are shared. Line sums the history part once: ASP, which
+// ignores the set-point, and for each horizon step l the bias plus history
+// terms of the ACU and DCS regressions. EvalSeq then adds each candidate's
+// own terms, in the linear-MPC manner of splitting a prediction into a free
+// response (history) and a forced response (input).
+//
+// A Line holds scratch buffers, so one Line must not be evaluated from
+// several goroutines at once.
+type Line struct {
+	m     *Model
+	pHatN []float64 // normalized p̂_{t+1..t+L}
+	acuN  []float64 // L×Na: bias + history terms of acu[l]
+	dcsN  []float64 // L×Nd: bias + history terms of dcs[l]
+
+	sps  []float64 // Eval's set-point held over the horizon
+	xe   []float64 // energy features: normalized set-points, then â by sensor
+	eOut [1]float64
+}
+
+// Line validates h and computes the set-point-independent part of the
+// cascade. The set-point and predicted-input features are left at 0, which
+// linreg's PredictInto skips, so the ACU and DCS sums hold exactly the bias
+// and history terms.
+func (m *Model) Line(h *History) (*Line, error) {
+	if err := m.ValidateHistory(h); err != nil {
+		return nil, err
 	}
 	L, na, nd := m.cfg.L, m.na, m.nd
 	sc := m.scale
@@ -37,83 +75,109 @@ func (m *Model) PredictSeq(h *History, setpoints []float64) (*Prediction, error)
 	for j := 0; j < L; j++ {
 		xp[j] = sc.pow(h.AvgPower[L-1-j])
 	}
-	pHatN := m.asp.Predict(xp) // normalized p̂_{t+1..t+L}
-
-	// ACU (eq. 2) per step l.
-	spN := make([]float64, L)
-	for i, s := range setpoints {
-		spN[i] = sc.sp(s)
+	ln := &Line{
+		m:     m,
+		pHatN: m.asp.Predict(xp),
+		acuN:  make([]float64, L*na),
+		dcsN:  make([]float64, L*nd),
+		sps:   make([]float64, L),
+		xe:    make([]float64, L+na*L),
 	}
-	zAcu := make([]float64, na*L)
+
+	// ACU (eq. 2): features are [s, p̂, ACU history].
+	xa := make([]float64, 2+na*L)
 	for a := 0; a < na; a++ {
 		for j := 0; j < L; j++ {
-			zAcu[a*L+j] = sc.temp(h.ACUTemps[a][L-1-j])
+			xa[2+a*L+j] = sc.temp(h.ACUTemps[a][L-1-j])
 		}
 	}
-	aHatN := mat.New(L, na)
-	xa := make([]float64, 2+na*L)
-	copy(xa[2:], zAcu)
-	for l := 1; l <= L; l++ {
-		xa[0] = spN[l-1]
-		xa[1] = pHatN[l-1]
-		m.acu[l-1].PredictInto(xa, aHatN.Row(l-1))
+	for l := 0; l < L; l++ {
+		m.acu[l].PredictInto(xa, ln.acuN[l*na:(l+1)*na])
 	}
 
-	// DCS (eq. 3) per step l, consuming the ACU predictions.
-	zDC := make([]float64, nd*L)
+	// DCS (eq. 3): features are [p̂, â, DC history].
+	xd := make([]float64, 1+na+nd*L)
 	for k := 0; k < nd; k++ {
 		for j := 0; j < L; j++ {
-			zDC[k*L+j] = sc.temp(h.DCTemps[k][L-1-j])
+			xd[1+na+k*L+j] = sc.temp(h.DCTemps[k][L-1-j])
 		}
 	}
-	dHatN := mat.New(L, nd)
-	xd := make([]float64, 1+na+nd*L)
-	copy(xd[1+na:], zDC)
-	for l := 1; l <= L; l++ {
-		xd[0] = pHatN[l-1]
-		copy(xd[1:1+na], aHatN.Row(l-1))
-		m.dcs[l-1].PredictInto(xd, dHatN.Row(l-1))
+	for l := 0; l < L; l++ {
+		m.dcs[l].PredictInto(xd, ln.dcsN[l*nd:(l+1)*nd])
 	}
+	return ln, nil
+}
 
-	// Cooling energy (eq. 4) from the shared set-point and the predicted
-	// inlet temperatures.
-	xe := make([]float64, L+na*L)
-	copy(xe, spN)
-	for a := 0; a < na; a++ {
-		for j := 0; j < L; j++ {
-			xe[L+a*L+j] = aHatN.At(j, a)
+// Eval is EvalSeq for the set-point x held over the horizon.
+func (ln *Line) Eval(x float64, p *Prediction) {
+	for i := range ln.sps {
+		ln.sps[i] = x
+	}
+	ln.EvalSeq(ln.sps, p)
+}
+
+// EvalSeq completes the cascade for the set-point sequence s_{t+1..t+L} and
+// writes every output into p, reusing its slices when they already have the
+// model's shape (no allocations then). Per step l it adds the set-point
+// terms s·w₀ + p̂·w₁ to the ACU sums and p̂·w₀ + Σₐ âₐ·w₁₊ₐ to the DCS sums,
+// then runs the cooling-energy regression (eq. 4), clamps Ê at 0, and
+// derives D̂ and Ĉ. It panics if len(sps) is not the horizon L.
+func (ln *Line) EvalSeq(sps []float64, p *Prediction) {
+	m := ln.m
+	L, na, nd := m.cfg.L, m.na, m.nd
+	if len(sps) != L {
+		panic(fmt.Sprintf("model: %d set-points for horizon %d", len(sps), L))
+	}
+	sc := m.scale
+	p.reshape(L, na, nd)
+	xe := ln.xe
+	for l := 0; l < L; l++ {
+		spN, pN := sc.sp(sps[l]), ln.pHatN[l]
+		xe[l] = spN
+		p.AvgPower[l] = sc.unPow(pN)
+
+		// ACU (eq. 2): â_l = history sum + s·w₀ + p̂·w₁.
+		aw := m.acu[l].Weights
+		w0, w1 := aw.Row(0), aw.Row(1)
+		base := ln.acuN[l*na : (l+1)*na]
+		for a, v := range base {
+			v += spN * w0[a]
+			v += pN * w1[a]
+			xe[L+a*L+l] = v
+			p.ACUTemps.Set(l, a, sc.unTemp(v))
 		}
-	}
-	eN := m.energy.Predict(xe)[0]
 
-	// Denormalize into physical units.
-	p := &Prediction{Setpoint: setpoints[len(setpoints)-1]}
-	p.AvgPower = make([]float64, L)
-	for l := 0; l < L; l++ {
-		p.AvgPower[l] = sc.unPow(pHatN[l])
-	}
-	p.ACUTemps = mat.New(L, na)
-	for l := 0; l < L; l++ {
+		// DCS (eq. 3): d̂_l = history sum + p̂·w₀ + Σₐ âₐ·w₁₊ₐ.
+		dw := m.dcs[l].Weights
+		row := p.DCTemps.Row(l)
+		copy(row, ln.dcsN[l*nd:(l+1)*nd])
+		for k, wv := range dw.Row(0) {
+			row[k] += pN * wv
+		}
 		for a := 0; a < na; a++ {
-			p.ACUTemps.Set(l, a, sc.unTemp(aHatN.At(l, a)))
+			av := xe[L+a*L+l]
+			for k, wv := range dw.Row(1 + a) {
+				row[k] += av * wv
+			}
+		}
+		for k, v := range row {
+			row[k] = sc.unTemp(v)
 		}
 	}
-	p.DCTemps = mat.New(L, nd)
-	for l := 0; l < L; l++ {
-		for k := 0; k < nd; k++ {
-			p.DCTemps.Set(l, k, sc.unTemp(dHatN.At(l, k)))
-		}
-	}
+
+	// Cooling energy (eq. 4) from the set-points and the predicted inlet
+	// temperatures.
+	eN := m.energy.PredictInto(xe, ln.eOut[:])[0]
+
+	p.Setpoint = sps[L-1]
 	p.EnergyKWh = sc.unEnergy(eN)
 	if p.EnergyKWh < 0 {
 		p.EnergyKWh = 0
 	}
 	p.EnergyNorm = sc.energy(p.EnergyKWh)
-
-	p.Interruption = m.interruption(setpoints, p.ACUTemps)
+	p.Interruption = m.interruption(sps, p.ACUTemps)
 	p.InterruptionNorm = p.Interruption / m.TempRangeC()
 	p.Constraint = m.constraint(p.DCTemps)
-	return p, nil
 }
 
 // TempRangeC returns the min-max span of the temperature normalization.
