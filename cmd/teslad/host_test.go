@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"tesla/internal/fleet"
@@ -42,47 +44,54 @@ func TestHostMatchesFleetRun(t *testing.T) {
 
 			check("straight run", hostRun(t, cfg))
 
+			// Crash: every room's loop dies right after step 17, then the
+			// host is killed — stores abandoned, field buses torn down.
 			cfg.DataDir = t.TempDir()
-			h := newTestHost(t, cfg)
-			for i := range h.runners {
-				for k := 0; k < 17; k++ {
-					if err := h.step(i); err != nil {
-						t.Fatal(err)
-					}
+			var crashed sync.WaitGroup
+			crashed.Add(rooms)
+			h := newHost(cfg, 0, func(_ int, r *fleet.Runner) {
+				if r.StepIndex() == 17 {
+					crashed.Done()
+					runtime.Goexit()
 				}
+			})
+			if _, err := addRooms(h, cfg); err != nil {
+				t.Fatal(err)
 			}
-			h.abandon()
+			crashed.Wait()
+			h.Kill()
 			check("crash at step 17 + restart", hostRun(t, cfg))
 		})
 	}
-}
-
-func newTestHost(t *testing.T, cfg fleet.Config) *host {
-	t.Helper()
-	names := make([]string, len(cfg.Rooms))
-	for i := range names {
-		names[i] = cfg.RoomName(i)
-	}
-	h, err := newHost(cfg, newOperator(names))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
 }
 
 // hostRun hosts cfg to the end of its horizon, checking that a restarted
 // room resumed from its store rather than from scratch.
 func hostRun(t *testing.T, cfg fleet.Config) []fleet.RoomResult {
 	t.Helper()
-	h := newTestHost(t, cfg)
-	for _, r := range h.runners {
-		if cfg.DataDir != "" && r.StepIndex() != 17 {
-			t.Errorf("room %s resumed at step %d, want 17", r.Name(), r.StepIndex())
-		}
-	}
-	res, err := h.run(context.Background(), 0)
+	h := newHost(cfg, 0, nil)
+	defer h.Close()
+	starts, err := addRooms(h, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, st := range starts {
+		if cfg.DataDir != "" && st.Step != 17 {
+			t.Errorf("room %d resumed at step %d, want 17", i, st.Step)
+		}
+	}
+	if err := h.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var res []fleet.RoomResult
+	for _, st := range h.Statuses() {
+		if st.Result == nil {
+			t.Fatalf("room %d not finished: %+v", st.Room, st)
+		}
+		res = append(res, *st.Result)
+	}
+	if len(res) != len(cfg.Rooms) {
+		t.Fatalf("%d rooms finished, want %d", len(res), len(cfg.Rooms))
 	}
 	return res
 }

@@ -68,8 +68,10 @@ import (
 
 	"tesla"
 	"tesla/internal/control"
+	"tesla/internal/controlplane"
 	"tesla/internal/experiment"
 	"tesla/internal/fleet"
+	"tesla/internal/parallel"
 	"tesla/internal/scheduler"
 	"tesla/internal/telemetry"
 	"tesla/internal/testbed"
@@ -251,7 +253,7 @@ func run(ctx context.Context, o options) error {
 		pace = time.Duration(cfg.Testbed.SamplePeriodS / o.speedup * float64(time.Second))
 	}
 
-	var h *host
+	var h *controlplane.Host
 	var harness *scheduler.Harness
 	if o.sched != "" {
 		harness, err = scheduler.NewHarness(scheduler.FleetConfig{
@@ -265,15 +267,11 @@ func run(ctx context.Context, o options) error {
 			op.watch(i, harness.Runner(i))
 		}
 	} else {
-		if h, err = newHost(cfg, op); err != nil {
-			return err
-		}
-		defer h.abandon() // a no-op for rooms run has finished or drained
-		for _, r := range h.runners {
-			if rec := r.Recovery(); rec.Recovered {
-				fmt.Printf("teslad: %s recovered %d control steps (+%d warm-up records) from its store, checkpoint at step %d, %d replayed\n",
-					r.Name(), rec.StepRecords, rec.WarmupRecords, rec.SnapshotStep, rec.ReplayedSteps)
-			}
+		h = newHost(cfg, pace, op.watch)
+		defer h.Close() // every exit finishes or drains each room; a failed one stays as a crash leaves it
+		op.ing, op.gw = h, h.Gateway()
+		if _, err := addRooms(h, cfg); err != nil {
+			return errors.Join(err, h.Close())
 		}
 	}
 
@@ -315,13 +313,35 @@ func run(ctx context.Context, o options) error {
 	if harness != nil {
 		err = runScheduled(ctx, harness, op, mode, pace)
 	} else {
-		_, err = h.run(ctx, pace)
+		// A failed room ends the wait; Close then drains its siblings.
+		err = errors.Join(h.Wait(ctx), h.Close())
 		printRooms(op, o.dur.dir != "")
 	}
 	if cause := context.Cause(ctx); err == nil && cause != nil && !errors.Is(cause, context.Canceled) {
 		err = cause
 	}
 	return err
+}
+
+// newHost builds the host standalone teslad runs its rooms on: each room
+// stepped by its own goroutine, paced by pace between steps, and actuated
+// over its own Modbus field bus on one shared gateway. Set-points are
+// quantized to the register's centidegrees, so WAL replay re-derives
+// exactly what the wire executed and every restart is the Runner's
+// bit-identical recovery.
+func newHost(cfg fleet.Config, pace time.Duration, onStep func(int, *fleet.Runner)) *controlplane.Host {
+	// One sweep per room per millisecond, teslad's cadence before it ran
+	// rooms on the Host; the 200 µs default costs idle CPU in every room.
+	cfg.IngestEvery = time.Millisecond
+	return controlplane.NewHost(controlplane.HostConfig{ID: "teslad", Fleet: cfg, StepDelay: pace, FieldBus: true}, onStep)
+}
+
+// addRooms adds every room of cfg to h at epoch 1, concurrently over
+// cfg.Workers.
+func addRooms(h *controlplane.Host, cfg fleet.Config) ([]controlplane.AssignResponse, error) {
+	return parallel.MapErr(cfg.Workers, len(cfg.Rooms), func(i int) (controlplane.AssignResponse, error) {
+		return h.Add(i, 1, nil)
+	})
 }
 
 // runScheduled steps the lockstep scheduled fleet to its horizon, or

@@ -122,20 +122,30 @@ type operator struct {
 	mu    sync.RWMutex
 	rooms []roomStatus
 	sched *schedStatus
+	// watched[i] is set by room i's first watch; only the goroutine that
+	// steps room i touches it.
+	watched []bool
 
 	events *telemetry.EventLog
 	// Optional sources, wired before the endpoint starts serving.
-	ing  *telemetry.Ingestor // rollup of the rooms' telemetry queues
-	gw   *gateway.Gateway    // the rooms' field-bus gateway
-	pipe *ingest.Service     // -inputs pipeline
+	ing  ledger           // the rooms' ingest ledgers
+	gw   *gateway.Gateway // the rooms' field-bus gateway
+	pipe *ingest.Service  // -inputs pipeline
 
 	// simNow is the lead room's sample clock (float64 bits): the ingest
 	// pipeline's compaction clock, in the same time domain as the samples.
 	simNow atomic.Uint64
 }
 
+// ledger is where the operator reads the rooms' ingest ledgers: the room
+// host (controlplane.Host), or a bare telemetry.Ingestor.
+type ledger interface {
+	Rollup() telemetry.Rollup
+	RoomAggs() []telemetry.RoomAgg
+}
+
 func newOperator(names []string) *operator {
-	o := &operator{rooms: make([]roomStatus, len(names)), events: telemetry.NewEventLog(512)}
+	o := &operator{rooms: make([]roomStatus, len(names)), watched: make([]bool, len(names)), events: telemetry.NewEventLog(512)}
 	for i, name := range names {
 		o.rooms[i] = roomStatus{Room: i, Name: name,
 			SafetyLevel: safety.LevelNormal.String(), SafetyMaxLevel: safety.LevelNormal.String()}
@@ -143,17 +153,26 @@ func newOperator(names []string) *operator {
 	return o
 }
 
-// watch routes a recovered room's safety events into the event log and
-// publishes its first snapshot.
+// watch publishes room i's snapshot. Its first call for a room, made once
+// recovery replay is over, also reports what the room recovered from its
+// store and routes its safety events into the event log — so replayed
+// escalations are not reported twice.
 func (o *operator) watch(i int, r *fleet.Runner) {
-	name := r.Name()
-	r.Supervisor().SetSink(func(e safety.Event) {
-		detail := e.Detail
-		if e.Sensor >= 0 {
-			detail = fmt.Sprintf("sensor %d: %s", e.Sensor, e.Detail)
+	if !o.watched[i] {
+		o.watched[i] = true
+		if rec := r.Recovery(); rec.Recovered {
+			fmt.Printf("teslad: %s recovered %d control steps (+%d warm-up records) from its store, checkpoint at step %d, %d replayed\n",
+				r.Name(), rec.StepRecords, rec.WarmupRecords, rec.SnapshotStep, rec.ReplayedSteps)
 		}
-		o.events.Append(telemetry.Entry{TimeS: e.TimeS, Kind: string(e.Kind), Detail: name + ": " + detail})
-	})
+		name := r.Name()
+		r.Supervisor().SetSink(func(e safety.Event) {
+			detail := e.Detail
+			if e.Sensor >= 0 {
+				detail = fmt.Sprintf("sensor %d: %s", e.Sensor, e.Detail)
+			}
+			o.events.Append(telemetry.Entry{TimeS: e.TimeS, Kind: string(e.Kind), Detail: name + ": " + detail})
+		})
+	}
 	o.publish(i, r)
 }
 
@@ -240,7 +259,11 @@ func (o *operator) handleRoom(w http.ResponseWriter, r *http.Request) {
 		Ingested *telemetry.RoomAgg `json:"ingested,omitempty"`
 	}{roomStatus: rooms[id]}
 	if o.ing != nil {
-		out.Ingested = &o.ing.RoomAggs()[id]
+		for _, agg := range o.ing.RoomAggs() {
+			if agg.Room == id {
+				out.Ingested = &agg
+			}
+		}
 	}
 	writeJSON(w, out)
 }

@@ -111,17 +111,28 @@ type cluster struct {
 // 90ms, reconcile every 10ms.
 func startCluster(t *testing.T, fcfg fleet.Config, roots map[string]string, delay time.Duration) *cluster {
 	t.Helper()
-	return startClusterFB(t, fcfg, roots, delay, false)
+	return startClusterFB(t, fcfg, roots, delay, false, chaosLease)
 }
 
+// chaosLease buries a shard that has been quiet for 90 ms (suspect after
+// 40 ms) — fast failover for the tests that kill or stall shards.
+// calmLease is for tests that move rooms on purpose: under -race on two
+// vCPUs a healthy shard's heartbeats can stall past 90 ms, and the
+// unplanned failover that follows would muddle what a migration test
+// measures.
+const (
+	chaosLease = 90 * time.Millisecond
+	calmLease  = 10 * time.Second
+)
+
 // startClusterFB is startCluster with the per-shard Modbus field bus
-// switched on or off.
-func startClusterFB(t *testing.T, fcfg fleet.Config, roots map[string]string, delay time.Duration, fieldBus bool) *cluster {
+// switched on or off and shards declared dead after lease of silence.
+func startClusterFB(t *testing.T, fcfg fleet.Config, roots map[string]string, delay time.Duration, fieldBus bool, lease time.Duration) *cluster {
 	t.Helper()
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Fleet:          fcfg,
-		SuspectAfter:   40 * time.Millisecond,
-		DeadAfter:      90 * time.Millisecond,
+		SuspectAfter:   lease * 4 / 9,
+		DeadAfter:      lease,
 		ReconcileEvery: 10 * time.Millisecond,
 		RPC:            fastRPC(),
 	})
@@ -393,7 +404,7 @@ func TestFencedSurvivorLedgerExact(t *testing.T) {
 func TestLiveMigrationBitIdentical(t *testing.T) {
 	fcfg := testFleetCfg(3, 31)
 	want := referenceHashes(t, fcfg)
-	cl := startCluster(t, fcfg, map[string]string{"shard-a": t.TempDir(), "shard-b": t.TempDir()}, 2*time.Millisecond)
+	cl := startClusterFB(t, fcfg, map[string]string{"shard-a": t.TempDir(), "shard-b": t.TempDir()}, 2*time.Millisecond, false, calmLease)
 
 	mid := cl.midFlight(8, 40)
 	room, source := mid.Room, mid.Shard
@@ -439,6 +450,12 @@ func TestLiveMigrationBitIdentical(t *testing.T) {
 	}
 	if res.Recovery.DecisionMismatches != 0 || res.Recovery.PlantMismatches != 0 {
 		t.Errorf("shipped state replayed with mismatches: %+v", res.Recovery)
+	}
+	// The drain barrier hands the ingest ledger over too: the target counts
+	// neither the source's samples nor the steps below the barrier as gaps.
+	if got := v.Rollup.Samples + v.Rollup.Gaps; got != 3*60 || v.Rollup.Gaps != 0 {
+		t.Errorf("ingest ledger %d samples + %d gaps, want exactly 180 + 0 — the migrated room's history was counted twice",
+			v.Rollup.Samples, v.Rollup.Gaps)
 	}
 	if ct := cl.coord.Counters(); ct.MigrationsOK != 1 || ct.MigrationsFailed != 0 {
 		t.Errorf("migration counters %+v", ct)

@@ -11,7 +11,6 @@ import (
 	"tesla/internal/fleet"
 	"tesla/internal/gateway"
 	"tesla/internal/ingest"
-	"tesla/internal/scheduler"
 	"tesla/internal/telemetry"
 )
 
@@ -69,7 +68,6 @@ type shardState struct {
 	gateway  *gateway.Stats
 	ingest   *ingest.Stats
 	field    *telemetry.Rollup
-	sched    *scheduler.Counters
 }
 
 // roomState is the coordinator's view of one room's placement.
@@ -121,12 +119,8 @@ type FleetView struct {
 	// Field is the fleet-wide field-bus poll ledger: every live shard's
 	// per-room Modbus poller rollups merged. Absent when no shard runs a
 	// field bus.
-	Field *telemetry.Rollup `json:"field,omitempty"`
-	// Sched is the fleet-wide batch-scheduler ledger: every live shard's
-	// placement/deferral/migration counters and queue depths merged. Absent
-	// when no shard runs a scheduler.
-	Sched      *scheduler.Counters `json:"sched,omitempty"`
-	Placements []RoomPlacement     `json:"placements"`
+	Field      *telemetry.Rollup `json:"field,omitempty"`
+	Placements []RoomPlacement   `json:"placements"`
 }
 
 // Counters are the coordinator's control-plane event totals.
@@ -410,8 +404,6 @@ func (c *Coordinator) Fleet() FleetView {
 	haveIng := false
 	var fld telemetry.Rollup
 	haveFld := false
-	var sched scheduler.Counters
-	haveSched := false
 	ids := make([]string, 0, len(c.shards))
 	for id := range c.shards {
 		ids = append(ids, id)
@@ -445,10 +437,6 @@ func (c *Coordinator) Fleet() FleetView {
 				fld.Merge(*sh.field)
 				haveFld = true
 			}
-			if sh.sched != nil {
-				sched.Merge(*sh.sched)
-				haveSched = true
-			}
 		}
 	}
 	// The merged Rooms field counts per-shard ingestor instances over time;
@@ -462,9 +450,6 @@ func (c *Coordinator) Fleet() FleetView {
 	}
 	if haveFld {
 		v.Field = &fld
-	}
-	if haveSched {
-		v.Sched = &sched
 	}
 	for i := range c.rooms {
 		rm := &c.rooms[i]
@@ -554,7 +539,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	sh.gateway = req.Gateway
 	sh.ingest = req.Ingest
 	sh.field = req.Field
-	sh.sched = req.Sched
 
 	var resp HeartbeatResponse
 	for _, st := range req.Rooms {
@@ -653,20 +637,6 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if v.Field != nil {
 		fmt.Fprintf(w, "# TYPE tesla_fleet_field_samples_total counter\ntesla_fleet_field_samples_total %d\n", v.Field.Samples)
 		fmt.Fprintf(w, "# TYPE tesla_fleet_field_seq_gaps_total counter\ntesla_fleet_field_seq_gaps_total %d\n", v.Field.Gaps)
-	}
-	if v.Sched != nil {
-		fmt.Fprintf(w, "# TYPE tesla_fleet_sched_placements_total counter\ntesla_fleet_sched_placements_total %d\n", v.Sched.Placements)
-		fmt.Fprintf(w, "# TYPE tesla_fleet_sched_deferrals_total counter\ntesla_fleet_sched_deferrals_total %d\n", v.Sched.Deferrals)
-		fmt.Fprintf(w, "# TYPE tesla_fleet_sched_migrations_total counter\n")
-		reasons := make([]string, 0, len(v.Sched.Migrations))
-		for r := range v.Sched.Migrations {
-			reasons = append(reasons, r)
-		}
-		sort.Strings(reasons)
-		for _, r := range reasons {
-			fmt.Fprintf(w, "tesla_fleet_sched_migrations_total{reason=%q} %d\n", r, v.Sched.Migrations[r])
-		}
-		fmt.Fprintf(w, "# TYPE tesla_fleet_sched_waiting_jobs gauge\ntesla_fleet_sched_waiting_jobs %d\n", v.Sched.Waiting)
 	}
 	fmt.Fprintf(w, "# TYPE tesla_fleet_max_cold_aisle_celsius gauge\ntesla_fleet_max_cold_aisle_celsius %g\n", v.Rollup.MaxColdC)
 }

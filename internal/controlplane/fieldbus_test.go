@@ -32,7 +32,7 @@ func TestFieldBusFailoverBitIdentical(t *testing.T) {
 	fcfg := fieldFleetCfg(4, 61)
 	want := referenceHashes(t, fcfg)
 	shared := t.TempDir()
-	cl := startClusterFB(t, fcfg, map[string]string{"shard-a": shared, "shard-b": shared}, 2*time.Millisecond, true)
+	cl := startClusterFB(t, fcfg, map[string]string{"shard-a": shared, "shard-b": shared}, 2*time.Millisecond, true, chaosLease)
 
 	victim := cl.midFlight(5, 40).Shard
 	cl.shards[victim].Kill()
@@ -77,7 +77,7 @@ func TestFieldBusFailoverBitIdentical(t *testing.T) {
 func TestFieldBusMigrationBitIdentical(t *testing.T) {
 	fcfg := fieldFleetCfg(3, 67)
 	want := referenceHashes(t, fcfg)
-	cl := startClusterFB(t, fcfg, map[string]string{"shard-a": t.TempDir(), "shard-b": t.TempDir()}, 2*time.Millisecond, true)
+	cl := startClusterFB(t, fcfg, map[string]string{"shard-a": t.TempDir(), "shard-b": t.TempDir()}, 2*time.Millisecond, true, calmLease)
 
 	mid := cl.midFlight(8, 40)
 	room, source := mid.Room, mid.Shard
@@ -114,6 +114,10 @@ func TestFieldBusMigrationBitIdentical(t *testing.T) {
 	if int(v.Field.Samples) != steps || v.Field.Gaps != 0 {
 		t.Errorf("fleet field ledger %d samples + %d gaps, want exactly %d + 0 — hand-off token lost or double-applied",
 			v.Field.Samples, v.Field.Gaps, steps)
+	}
+	if got := v.Rollup.Samples + v.Rollup.Gaps; got != uint64(steps) || v.Rollup.Gaps != 0 {
+		t.Errorf("fleet ingest ledger %d samples + %d gaps, want exactly %d + 0 — the migrated room's history was counted twice",
+			v.Rollup.Samples, v.Rollup.Gaps, steps)
 	}
 
 	_, metrics := httpGet(t, cl.coordSrv.URL+"/metrics")

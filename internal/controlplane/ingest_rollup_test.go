@@ -42,11 +42,11 @@ func TestHeartbeatCarriesIngestStats(t *testing.T) {
 			Coordinator:    coordSrv.URL,
 			HeartbeatEvery: 10 * time.Millisecond,
 			RPC:            fastRPC(),
-			IngestStats:    func() ingest.Stats { return st },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		sh.SetIngestStats(func() ingest.Stats { return st })
 		srv := httptest.NewServer(sh.Handler())
 		sh.SetAdvertise(srv.URL)
 		sh.Start()

@@ -17,7 +17,6 @@ import (
 	"tesla/internal/gateway"
 	"tesla/internal/ingest"
 	"tesla/internal/rng"
-	"tesla/internal/scheduler"
 	"tesla/internal/telemetry"
 )
 
@@ -75,10 +74,6 @@ type HeartbeatRequest struct {
 	// merged with retired rooms' final ledgers); set only on shards running
 	// a field bus.
 	Field *telemetry.Rollup `json:"field,omitempty"`
-	// Sched is the shard's batch-scheduler ledger (placements, deferrals,
-	// migrations by reason, queue depths); set only on shards running a job
-	// scheduler alongside their rooms.
-	Sched *scheduler.Counters `json:"sched,omitempty"`
 }
 
 // HeartbeatResponse lists assignments the shard must relinquish: rooms whose

@@ -13,10 +13,7 @@ import (
 	"tesla/internal/fleet"
 	"tesla/internal/gateway"
 	"tesla/internal/ingest"
-	"tesla/internal/modbus"
-	"tesla/internal/scheduler"
 	"tesla/internal/telemetry"
-	"tesla/internal/testbed"
 )
 
 // ShardConfig assembles one room-shard worker.
@@ -52,93 +49,27 @@ type ShardConfig struct {
 	// RPC tunes the shard→coordinator client; Ident and Seed are filled
 	// from ID/Seed.
 	RPC ClientOptions
-	// GatewayStats, when set, is sampled into every heartbeat so the
-	// coordinator's fleet view includes field-bus health.
-	GatewayStats func() gateway.Stats
-	// IngestStats, when set, is sampled into every heartbeat so the
-	// coordinator's fleet view includes this shard's telemetry-ingest
-	// pipeline (inputs, exact drop/gap ledger, TSDB tier sizes).
-	IngestStats func() ingest.Stats
-	// SchedCounters, when set, is sampled into every heartbeat so the
-	// coordinator's fleet view rolls up this shard's batch-scheduler ledger
-	// (placements, deferrals, migrations by reason, queue depths).
-	SchedCounters func() scheduler.Counters
-	// FieldBus puts a real Modbus field path under every hosted room: one
-	// in-process ACU device sim per room served over TCP, a shared shard
-	// gateway actuating set-points and polling telemetry across that wire,
-	// and the decide path quantized to wire resolution (Fleet.Quantize
-	// defaults to modbus.QuantizeTempC) so trajectories stay bit-identical
-	// to a quantized single-process reference. Live migration carries each
-	// room's Poller.Seqs() hand-off token in the bundle, so the successor's
-	// poller continues the sequence stream with every number accounted
-	// exactly once across both hosts' ledgers.
+	// FieldBus puts a real Modbus field path under every hosted room (see
+	// HostConfig.FieldBus). Live migration carries each room's
+	// Poller.Seqs() hand-off token in the bundle, so the successor's poller
+	// continues the sequence stream with every number accounted exactly
+	// once across both hosts' ledgers.
 	FieldBus bool
-	// FieldBusConfig tunes the shard gateway when FieldBus is set.
-	FieldBusConfig gateway.Config
 }
 
-// hostState is a hosted room's lifecycle stage.
-type hostState int
-
-const (
-	hostRunning hostState = iota
-	hostDone
-	hostFailed
-)
-
-// roomHost is one hosted room: a fleet.Runner driven by its own goroutine,
-// with a single-queue ingestor folding the room's telemetry. The runner is
-// owned exclusively by the loop goroutine while it runs; other goroutines
-// read the published status under the shard lock and only touch the runner
-// after loopDone closes.
-type roomHost struct {
-	room  int
-	epoch uint64
-
-	runner *fleet.Runner
-	ing    *telemetry.Ingestor
-	q      *telemetry.Queue
-	fb     *gateway.FieldBus // nil unless the shard runs a field bus
-
-	recovered bool // captured at creation: runner opened onto durable history
-
-	stop     chan struct{} // drain request: loop exits at the next step boundary
-	kill     chan struct{} // crash simulation: loop exits immediately, store abandoned
-	loopDone chan struct{}
-	ingStop  chan struct{}
-	ingDone  chan struct{}
-	stopOnce sync.Once
-	killOnce sync.Once
-	ingOnce  sync.Once
-	relOnce  sync.Once
-	relStep  int
-	relSeqs  []uint64 // field-bus hand-off token captured at relinquish
-
-	fieldMerged bool // guarded by Shard.mu: fb's final ledger folded into fieldRetired
-
-	// Guarded by Shard.mu.
-	state  hostState
-	status RoomStatus
-	result *fleet.RoomResult
-	err    error
-}
-
-// Shard hosts a subset of the fleet's rooms. It exposes an internal HTTP
-// API (Handler) for the coordinator and keeps stepping its rooms whether or
-// not the coordinator is reachable — the control plane can place and move
-// rooms, but control itself never waits on it.
+// Shard hosts a subset of the fleet's rooms on a Host. It exposes an
+// internal HTTP API (Handler) for the coordinator and keeps stepping its
+// rooms whether or not the coordinator is reachable — the control plane can
+// place and move rooms, but control itself never waits on it.
 type Shard struct {
-	cfg ShardConfig
+	cfg  ShardConfig
+	host *Host
 
-	gw *gateway.Gateway // field-bus gateway; nil unless cfg.FieldBus
-
-	mu           sync.Mutex
-	rooms        map[int]*roomHost
-	retired      telemetry.Rollup // rollup contribution of rooms no longer hosted
-	fieldRetired telemetry.Rollup // field-bus ledgers of rooms no longer hosted
-	lease        uint64
-	killed       bool
-	paused       bool // heartbeats suppressed (zombie simulation)
+	mu          sync.Mutex
+	lease       uint64
+	killed      bool
+	paused      bool // heartbeats suppressed (zombie simulation)
+	ingestStats func() ingest.Stats
 
 	fencedRooms  uint64 // assignments relinquished after coordinator fencing
 	leaseFences  uint64 // whole-lease fences (shard was presumed dead)
@@ -169,20 +100,13 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	}
 	cfg.RPC.Ident = cfg.ID
 	cfg.RPC.Seed = cfg.Seed
-	if cfg.FieldBus && cfg.Fleet.Quantize == nil {
-		// The wire carries centidegree registers; quantizing the decide path
-		// makes the Modbus-actuated trajectory bit-identical to a quantized
-		// in-process reference.
-		cfg.Fleet.Quantize = modbus.QuantizeTempC
-	}
+	fcfg := cfg.Fleet
+	fcfg.DataDir = cfg.DataDir
 	s := &Shard{
-		cfg:   cfg,
-		rooms: make(map[int]*roomHost),
-		idem:  newIdemCache(0),
-		stop:  make(chan struct{}),
-	}
-	if cfg.FieldBus {
-		s.gw = gateway.New(cfg.FieldBusConfig)
+		cfg:  cfg,
+		host: NewHost(HostConfig{ID: cfg.ID, Fleet: fcfg, StepDelay: cfg.StepDelay, FieldBus: cfg.FieldBus}, nil),
+		idem: newIdemCache(0),
+		stop: make(chan struct{}),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -219,63 +143,25 @@ func (s *Shard) Start() {
 
 // Stop drains every hosted room (checkpoint + close, locks released) and
 // stops the heartbeat loop. The shard's rooms can be re-hosted elsewhere.
-func (s *Shard) Stop() {
-	s.mu.Lock()
-	if s.killed {
-		s.mu.Unlock()
-		return
-	}
-	s.killed = true
-	hosts := make([]*roomHost, 0, len(s.rooms))
-	for _, h := range s.rooms {
-		hosts = append(hosts, h)
-	}
-	s.mu.Unlock()
-	close(s.stop)
-	for _, h := range hosts {
-		s.relinquish(h, false)
-	}
-	s.wg.Wait()
-	if s.gw != nil {
-		s.gw.Close()
-	}
-}
+func (s *Shard) Stop() { s.halt(func() { s.host.Close() }) }
 
-// Kill simulates this shard dying mid-step — kill -9, not shutdown. Room
-// loops exit without checkpointing, stores are abandoned exactly as a dead
-// process leaves them (buffered tail lost, locks released by the kernel),
-// and heartbeats stop so the coordinator stages the shard through suspect
-// to dead.
-func (s *Shard) Kill() {
+// Kill simulates this shard dying mid-step (Host.Kill), and stops its
+// heartbeats so the coordinator stages it through suspect to dead.
+func (s *Shard) Kill() { s.halt(s.host.Kill) }
+
+// halt stops the shard once: heartbeats end and stopRooms takes the rooms
+// down.
+func (s *Shard) halt(stopRooms func()) {
 	s.mu.Lock()
 	if s.killed {
 		s.mu.Unlock()
 		return
 	}
 	s.killed = true
-	hosts := make([]*roomHost, 0, len(s.rooms))
-	for _, h := range s.rooms {
-		hosts = append(hosts, h)
-	}
 	s.mu.Unlock()
 	close(s.stop)
-	for _, h := range hosts {
-		h.killOnce.Do(func() { close(h.kill) })
-		<-h.loopDone
-		h.runner.Abandon()
-		h.ingOnce.Do(func() { close(h.ingStop) })
-		<-h.ingDone
-		if h.fb != nil {
-			// The field path dies with the process; its in-memory seq ledger
-			// is lost exactly as a crashed gateway's would be — the successor
-			// starts a fresh stream (no hand-off token).
-			h.fb.Close()
-		}
-	}
+	stopRooms()
 	s.wg.Wait()
-	if s.gw != nil {
-		s.gw.Close()
-	}
 }
 
 // PauseHeartbeats suppresses lease renewal without stopping room loops —
@@ -295,65 +181,29 @@ func (s *Shard) ResumeHeartbeats() {
 	s.mu.Unlock()
 }
 
-// Rollup merges the shard's hosted-room ingestors (plus rooms already
-// retired from this shard) into one shard-level telemetry rollup.
-func (s *Shard) Rollup() telemetry.Rollup {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.retired
-	for _, h := range s.rooms {
-		out.Merge(h.ing.Rollup())
-	}
-	return out
-}
+// Rollup merges the ingest ledgers of every room this shard hosts or has
+// hosted.
+func (s *Shard) Rollup() telemetry.Rollup { return s.host.Rollup() }
 
-// FieldRollup merges every hosted room's live field-bus poll ledger with
-// the retired contribution of rooms that already left this shard. Zero
-// when the shard runs no field bus.
-func (s *Shard) FieldRollup() telemetry.Rollup {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.fieldRetired
-	for _, h := range s.rooms {
-		if h.fb != nil && !h.fieldMerged {
-			out.Merge(h.fb.Rollup())
-		}
-	}
-	return out
-}
+// FieldRollup merges the field-bus poll ledgers of every room this shard
+// hosts or has hosted. Zero when the shard runs no field bus.
+func (s *Shard) FieldRollup() telemetry.Rollup { return s.host.FieldRollup() }
 
 // Gateway exposes the shard's field-bus gateway — the handle the daemon
 // registers its modbus ingest input against. Nil unless FieldBus is set.
-func (s *Shard) Gateway() *gateway.Gateway { return s.gw }
+func (s *Shard) Gateway() *gateway.Gateway { return s.host.Gateway() }
 
 // SetIngestStats wires the heartbeat's ingest-pipeline sampler after
 // construction — the daemon boots its ingest pipeline against the shard's
 // gateway, which exists only once the shard does. Call before Start.
 func (s *Shard) SetIngestStats(f func() ingest.Stats) {
 	s.mu.Lock()
-	s.cfg.IngestStats = f
-	s.mu.Unlock()
-}
-
-// SetSchedCounters wires the heartbeat's batch-scheduler sampler after
-// construction, for hosts that run a job scheduler alongside the shard's
-// rooms. Call before Start.
-func (s *Shard) SetSchedCounters(f func() scheduler.Counters) {
-	s.mu.Lock()
-	s.cfg.SchedCounters = f
+	s.ingestStats = f
 	s.mu.Unlock()
 }
 
 // Statuses snapshots the hosted rooms' statuses.
-func (s *Shard) Statuses() []RoomStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]RoomStatus, 0, len(s.rooms))
-	for _, h := range s.rooms {
-		out = append(out, h.status)
-	}
-	return out
-}
+func (s *Shard) Statuses() []RoomStatus { return s.host.Statuses() }
 
 // FencedRooms reports how many assignments this shard has relinquished
 // after coordinator fencing (room-level plus whole-lease).
@@ -370,234 +220,14 @@ func (s *Shard) FencedRooms() uint64 {
 // shared-root failover path — the room recovers and resumes where that
 // record ends.
 func (s *Shard) Assign(room int, epoch uint64) (AssignResponse, error) {
-	return s.assign(room, epoch, nil)
-}
-
-// assign is Assign plus the field-bus hand-off: startSeqs, when non-nil, is
-// the predecessor poller's Seqs() token from a migration bundle, seeding
-// this host's poller so the room's sequence stream continues without
-// duplicates or double-counted gaps.
-func (s *Shard) assign(room int, epoch uint64, startSeqs []uint64) (AssignResponse, error) {
-	s.mu.Lock()
-	if s.killed {
-		s.mu.Unlock()
-		return AssignResponse{}, fmt.Errorf("controlplane: shard %s is stopped", s.cfg.ID)
-	}
-	if h, ok := s.rooms[room]; ok {
-		defer s.mu.Unlock()
-		if epoch < h.epoch {
-			return AssignResponse{}, fmt.Errorf("assign room %d epoch %d < hosted %d: %w", room, epoch, h.epoch, ErrFenced)
-		}
-		// Same or newer epoch for a room already here: adopt the epoch and
-		// report current progress — the idempotent replay of a lost response.
-		h.epoch = epoch
-		h.status.Epoch = epoch
-		return AssignResponse{Step: h.status.Step, Recovered: h.recovered}, nil
-	}
-	s.mu.Unlock()
-
-	cfg := s.cfg.Fleet
-	cfg.DataDir = s.cfg.DataDir
-	q := cfg.NewQueue()
-
-	h := &roomHost{
-		room:     room,
-		epoch:    epoch,
-		q:        q,
-		stop:     make(chan struct{}),
-		kill:     make(chan struct{}),
-		loopDone: make(chan struct{}),
-		ingStop:  make(chan struct{}),
-		ingDone:  make(chan struct{}),
-	}
-	if s.gw != nil {
-		// The hooks close over h; h.fb is installed below, after the runner
-		// exists (the bridge needs the plant), and before any loop goroutine
-		// starts. Warmup and recovery replay never actuate, so late-binding
-		// the bus is safe.
-		cfg.Actuate = func(_ int, spC float64) error { return h.fb.Actuate(spC) }
-		cfg.Publish = func(_ int, smp testbed.Sample) { h.fb.Publish(smp) }
-	}
-	r, err := fleet.NewRunner(cfg, room, q, s.cfg.ID)
-	if err != nil {
-		return AssignResponse{}, err
-	}
-	h.runner = r
-	h.recovered = r.Recovery().Recovered
-	h.ing = telemetry.NewIngestor([]*telemetry.Queue{q}, cfg.ColdLimitC, cfg.Testbed.SamplePeriodS, cfg.Batch)
-	if s.gw != nil {
-		fb, err := gateway.AttachFieldBus(s.gw, cfg.RoomName(room), r.Plant(), gateway.PollerConfig{
-			ColdLimitC: cfg.ColdLimitC,
-			PeriodS:    cfg.Testbed.SamplePeriodS,
-			Batch:      cfg.Batch,
-			StartSeqs:  startSeqs,
-		})
-		if err != nil {
-			r.Abandon()
-			return AssignResponse{}, err
-		}
-		h.fb = fb
-	}
-	startStep, recovered := r.StepIndex(), r.Recovery().Recovered
-	h.status = RoomStatus{Room: room, Epoch: epoch, Step: startStep, Planned: r.PlannedSteps()}
-
-	s.mu.Lock()
-	if s.killed {
-		s.mu.Unlock()
-		r.Abandon()
-		if h.fb != nil {
-			h.fb.Close()
-		}
-		return AssignResponse{}, fmt.Errorf("controlplane: shard %s is stopped", s.cfg.ID)
-	}
-	if prev, ok := s.rooms[room]; ok {
-		// Raced with a concurrent assign; keep the incumbent.
-		s.mu.Unlock()
-		r.Abandon()
-		if h.fb != nil {
-			h.fb.Close()
-		}
-		return AssignResponse{Step: prev.status.Step, Recovered: prev.recovered}, nil
-	}
-	s.rooms[room] = h
-	s.mu.Unlock()
-
-	go h.ingestLoop(s.cfg.Fleet.IngestEvery)
-	go s.roomLoop(h)
-	return AssignResponse{Step: startStep, Recovered: recovered}, nil
-}
-
-func (h *roomHost) ingestLoop(every time.Duration) {
-	defer close(h.ingDone)
-	if every <= 0 {
-		every = 200 * time.Microsecond
-	}
-	h.ing.Run(h.ingStop, every)
-}
-
-// roomLoop drives one hosted room to completion, publishing progress under
-// the shard lock after every step. On stop it exits at a step boundary and
-// leaves draining to the requester; on kill it exits immediately.
-func (s *Shard) roomLoop(h *roomHost) {
-	defer close(h.loopDone)
-	for !h.runner.Done() {
-		select {
-		case <-h.stop:
-			return
-		case <-h.kill:
-			return
-		default:
-		}
-		err := h.runner.Step()
-		s.mu.Lock()
-		if err != nil {
-			h.state = hostFailed
-			h.err = err
-			h.status.Error = err.Error()
-			s.mu.Unlock()
-			return
-		}
-		h.status.Step = h.runner.StepIndex()
-		s.mu.Unlock()
-		if d := s.cfg.StepDelay; d > 0 {
-			select {
-			case <-h.stop:
-				return
-			case <-h.kill:
-				return
-			case <-time.After(d):
-			}
-		}
-	}
-	res, err := h.runner.Finish()
-	// Fold the room's remaining telemetry before reporting Done, so anyone
-	// who observes a finished room also observes its complete rollup.
-	h.ingOnce.Do(func() { close(h.ingStop) })
-	<-h.ingDone
-	s.closeFieldBus(h)
-	s.mu.Lock()
-	if err != nil {
-		h.state = hostFailed
-		h.err = err
-		h.status.Error = err.Error()
-	} else {
-		h.state = hostDone
-		h.result = &res
-		h.status.Done = true
-		h.status.Result = &res
-	}
-	s.mu.Unlock()
+	return s.host.Add(room, epoch, nil)
 }
 
 // Drain checkpoints a hosted room at its current step boundary, closes its
 // store and removes it from this shard — the migration write barrier. For a
 // room that already finished it reports the final step.
 func (s *Shard) Drain(room int) (DrainResponse, error) {
-	s.mu.Lock()
-	h, ok := s.rooms[room]
-	s.mu.Unlock()
-	if !ok {
-		return DrainResponse{}, fmt.Errorf("controlplane: shard %s does not host room %d", s.cfg.ID, room)
-	}
-	step := s.relinquish(h, false)
-	return DrainResponse{Step: step, GatewaySeqs: h.relSeqs}, nil
-}
-
-// closeFieldBus tears down a host's field path and folds its final poll
-// ledger into the shard's retired field rollup exactly once. Returns the
-// hand-off token (nil when the host runs no field bus). Idempotent; every
-// caller sees the same token.
-func (s *Shard) closeFieldBus(h *roomHost) []uint64 {
-	if h.fb == nil {
-		return nil
-	}
-	seqs, roll := h.fb.Close()
-	s.mu.Lock()
-	if !h.fieldMerged {
-		h.fieldMerged = true
-		s.fieldRetired.Merge(roll)
-	}
-	s.mu.Unlock()
-	return seqs
-}
-
-// relinquish stops a host's loop, checkpoints and closes its store, folds
-// its telemetry into the retired rollup and drops it from the room map.
-// Returns the step the room stopped at. A fenced relinquish — the
-// coordinator already handed the room to a successor — keeps an unfinished
-// room's telemetry out of the rollup, the accounting a killed host gets: the
-// successor counts every step below its start as a sequence gap, so these
-// samples would be counted twice. Idempotent: a concurrent second caller
-// (heartbeat fencing racing a drain RPC) blocks until the first finishes and
-// gets the same step.
-func (s *Shard) relinquish(h *roomHost, fenced bool) int {
-	h.relOnce.Do(func() {
-		h.stopOnce.Do(func() { close(h.stop) })
-		<-h.loopDone
-		h.ingOnce.Do(func() { close(h.ingStop) })
-		<-h.ingDone
-		// The loop has exited: flush and close the field path, capturing the
-		// hand-off token the drain response carries to the migration target.
-		h.relSeqs = s.closeFieldBus(h)
-
-		step := h.runner.StepIndex()
-		s.mu.Lock()
-		finished := h.state == hostDone || h.state == hostFailed
-		s.mu.Unlock()
-		if !finished {
-			if n, err := h.runner.Drain(); err == nil {
-				step = n
-			}
-		}
-		s.mu.Lock()
-		if finished || !fenced {
-			s.retired.Merge(h.ing.Rollup())
-		}
-		delete(s.rooms, h.room)
-		s.mu.Unlock()
-		h.relStep = step
-	})
-	return h.relStep
+	return s.host.Relinquish(room, false)
 }
 
 // Resume installs a migration bundle into this shard's data root and hosts
@@ -605,21 +235,17 @@ func (s *Shard) relinquish(h *roomHost, fenced bool) int {
 // runner opens it, so recovery replays the shipped state and the room
 // continues at the source's drain barrier.
 func (s *Shard) Resume(req ResumeRequest) (ResumeResponse, error) {
-	s.mu.Lock()
-	if h, ok := s.rooms[req.Room]; ok {
-		step, hosted := h.status.Step, h.epoch
-		s.mu.Unlock()
-		if req.Epoch < hosted {
+	if st, ok := s.host.Status(req.Room); ok {
+		if req.Epoch < st.Epoch {
 			return ResumeResponse{}, fmt.Errorf("resume room %d: %w", req.Room, ErrFenced)
 		}
-		return ResumeResponse{Step: step}, nil // idempotent replay
+		return ResumeResponse{Step: st.Step}, nil // idempotent replay
 	}
-	s.mu.Unlock()
 	dir := filepath.Join(s.cfg.DataDir, s.cfg.Fleet.RoomName(req.Room))
 	if err := UnpackBundle(dir, req.Bundle); err != nil {
 		return ResumeResponse{}, err
 	}
-	ar, err := s.assign(req.Room, req.Epoch, req.Bundle.GatewaySeqs)
+	ar, err := s.host.Add(req.Room, req.Epoch, &DrainResponse{Step: req.Bundle.Step, GatewaySeqs: req.Bundle.GatewaySeqs})
 	if err != nil {
 		return ResumeResponse{}, err
 	}
@@ -635,10 +261,7 @@ func (s *Shard) Resume(req ResumeRequest) (ResumeResponse, error) {
 // PackRoom packs a drained room's store directory for shipment. The room
 // must not be hosted here any more (Drain first).
 func (s *Shard) PackRoom(room int) (Bundle, error) {
-	s.mu.Lock()
-	_, hosted := s.rooms[room]
-	s.mu.Unlock()
-	if hosted {
+	if _, hosted := s.host.Status(room); hosted {
 		return Bundle{}, fmt.Errorf("controlplane: room %d still hosted; drain before packing", room)
 	}
 	name := s.cfg.Fleet.RoomName(room)
@@ -708,31 +331,19 @@ func (s *Shard) register() bool {
 func (s *Shard) beat() bool {
 	s.mu.Lock()
 	req := HeartbeatRequest{ID: s.cfg.ID, Epoch: s.lease}
-	for _, h := range s.rooms {
-		st := h.status
-		req.Rooms = append(req.Rooms, st)
-	}
-	gwStats, ingStats, schedStats := s.cfg.GatewayStats, s.cfg.IngestStats, s.cfg.SchedCounters
+	ingStats := s.ingestStats
 	s.mu.Unlock()
-	req.Rollup = s.Rollup()
-	if gwStats != nil {
-		gs := gwStats()
+	req.Rooms = s.host.Statuses()
+	req.Rollup = s.host.Rollup()
+	if gw := s.host.Gateway(); gw != nil {
+		gs := gw.Stats()
 		req.Gateway = &gs
-	} else if s.gw != nil {
-		gs := s.gw.Stats()
-		req.Gateway = &gs
+		fr := s.host.FieldRollup()
+		req.Field = &fr
 	}
 	if ingStats != nil {
 		is := ingStats()
 		req.Ingest = &is
-	}
-	if s.gw != nil {
-		fr := s.FieldRollup()
-		req.Field = &fr
-	}
-	if schedStats != nil {
-		sc := schedStats()
-		req.Sched = &sc
 	}
 
 	var resp HeartbeatResponse
@@ -740,36 +351,29 @@ func (s *Shard) beat() bool {
 	switch {
 	case err == nil:
 		for _, f := range resp.FencedRooms {
-			s.mu.Lock()
-			h, ok := s.rooms[f.Room]
 			// Only the fenced epoch (or older) is relinquished — if the room
 			// was re-assigned here at a newer epoch while the verdict was in
 			// flight, that hosting is legitimate and stays.
-			ok = ok && h.epoch <= f.Epoch
-			if ok {
+			if st, ok := s.host.Status(f.Room); ok && st.Epoch <= f.Epoch {
+				s.mu.Lock()
 				s.fencedRooms++
-			}
-			s.mu.Unlock()
-			if ok {
+				s.mu.Unlock()
 				// The room lives elsewhere now; checkpoint, close, release
 				// the lock so the new owner can open the store.
-				s.relinquish(h, true)
+				s.host.Relinquish(f.Room, true)
 			}
 		}
 		return true
 	case isFenced(err):
 		// Whole lease fenced: the coordinator buried us and re-placed our
 		// rooms. Stop writing, release everything, come back as new.
+		sts := s.host.Statuses()
 		s.mu.Lock()
 		s.leaseFences++
-		hosts := make([]*roomHost, 0, len(s.rooms))
-		for _, h := range s.rooms {
-			hosts = append(hosts, h)
-			s.fencedRooms++
-		}
+		s.fencedRooms += uint64(len(sts))
 		s.mu.Unlock()
-		for _, h := range hosts {
-			s.relinquish(h, true)
+		for _, st := range sts {
+			s.host.Relinquish(st.Room, true)
 		}
 		return s.register()
 	default:
@@ -785,8 +389,8 @@ func isFenced(err error) bool { return errors.Is(err, ErrFenced) }
 // --- HTTP handlers ---
 
 func (s *Shard) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	n := len(s.host.Statuses())
 	s.mu.Lock()
-	n := len(s.rooms)
 	lease := s.lease
 	s.mu.Unlock()
 	writeJSON(w, r, nil, http.StatusOK, map[string]any{
@@ -861,9 +465,9 @@ func (s *Shard) handleResume(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Shard) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	ru := s.Rollup()
+	ru, rooms := s.host.Rollup(), len(s.host.Statuses())
 	s.mu.Lock()
-	rooms, fenced, fails := len(s.rooms), s.fencedRooms, s.beatFailures
+	fenced, fails := s.fencedRooms, s.beatFailures
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	fmt.Fprintf(w, "# TYPE tesla_shard_rooms gauge\ntesla_shard_rooms{shard=%q} %d\n", s.cfg.ID, rooms)
@@ -871,9 +475,9 @@ func (s *Shard) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# TYPE tesla_shard_seq_gaps_total counter\ntesla_shard_seq_gaps_total{shard=%q} %d\n", s.cfg.ID, ru.Gaps)
 	fmt.Fprintf(w, "# TYPE tesla_shard_fenced_rooms_total counter\ntesla_shard_fenced_rooms_total{shard=%q} %d\n", s.cfg.ID, fenced)
 	fmt.Fprintf(w, "# TYPE tesla_shard_heartbeat_failures_total counter\ntesla_shard_heartbeat_failures_total{shard=%q} %d\n", s.cfg.ID, fails)
-	if s.gw != nil {
-		gateway.WriteMetrics(w, fmt.Sprintf("{shard=%q}", s.cfg.ID), s.gw.Stats())
-		fr := s.FieldRollup()
+	if gw := s.host.Gateway(); gw != nil {
+		gateway.WriteMetrics(w, fmt.Sprintf("{shard=%q}", s.cfg.ID), gw.Stats())
+		fr := s.host.FieldRollup()
 		fmt.Fprintf(w, "# TYPE tesla_shard_field_samples_total counter\ntesla_shard_field_samples_total{shard=%q} %d\n", s.cfg.ID, fr.Samples)
 		fmt.Fprintf(w, "# TYPE tesla_shard_field_seq_gaps_total counter\ntesla_shard_field_seq_gaps_total{shard=%q} %d\n", s.cfg.ID, fr.Gaps)
 	}

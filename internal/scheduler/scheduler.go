@@ -222,28 +222,6 @@ func (c Counters) Clone() Counters {
 	return out
 }
 
-// Merge folds another shard's counters into c (sums everywhere — rooms on
-// distinct shards are disjoint).
-func (c *Counters) Merge(o Counters) {
-	c.Placements += o.Placements
-	c.Deferrals += o.Deferrals
-	for k, v := range o.Migrations {
-		if c.Migrations == nil {
-			c.Migrations = map[string]uint64{}
-		}
-		c.Migrations[k] += v
-	}
-	c.Waiting += o.Waiting
-	for k, v := range o.RoomQueue {
-		if c.RoomQueue == nil {
-			c.RoomQueue = map[string]int{}
-		}
-		c.RoomQueue[k] += v
-	}
-	c.RunningJobs += o.RunningJobs
-	c.CompletedJobs += o.CompletedJobs
-}
-
 // MigrationsTotal sums migrations across reasons.
 func (c Counters) MigrationsTotal() uint64 {
 	var t uint64
