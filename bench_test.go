@@ -319,7 +319,7 @@ func BenchmarkExtensionDeferral(b *testing.B) {
 	}
 	b.ReportMetric(study.Immediate.PeakITKW, "peak_IT_immediate_kW")
 	b.ReportMetric(study.Deferred.PeakITKW, "peak_IT_deferred_kW")
-	b.ReportMetric(study.Deferred.CoolingKWh, "CE_deferred_kWh")
+	b.ReportMetric(study.Deferred.CEkWh, "CE_deferred_kWh")
 }
 
 // BenchmarkModelPredict measures the per-step cost of the DC time-series

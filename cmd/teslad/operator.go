@@ -75,17 +75,17 @@ type durStatus struct {
 // observe snapshots a room from its Runner. Call it from the goroutine that
 // steps the room (or, under -scheduler, between harness steps).
 func observe(r *fleet.Runner) roomStatus {
-	s, st, sup := r.LastSample(), r.Status(), r.Supervisor()
+	s, m, sup := r.LastSample(), r.Metrics(), r.Supervisor()
 	sst := sup.Stats()
 	var inlet float64
 	for _, v := range s.ACUTemps {
 		inlet += v
 	}
 	rs := roomStatus{
-		Room: st.Room, Name: st.Name, StepMinutes: st.Step,
+		Room: r.Room(), Name: r.Name(), StepMinutes: r.StepIndex(),
 		SetpointC: s.SetpointC, InletC: inlet / float64(len(s.ACUTemps)), MaxColdC: s.MaxColdAisle,
 		ACUDuty: s.ACUDuty, ACUPowerKW: s.ACUPowerKW, AvgServerKW: s.AvgServerKW, ITPowerKW: s.TotalIT,
-		EnergyKWh: st.EnergyKWh, Violations: st.Violations, Interruptions: st.Interruptions,
+		EnergyKWh: m.CEkWh, Violations: int(m.TSVFrac), Interruptions: int(m.CIFrac),
 		SafetyLevel: sup.Level().String(), SafetyMaxLevel: sup.MaxLevel().String(),
 		SafetyEscalations: sst.Escalations, PolicyOverrides: sst.Overrides,
 		QuarantinedSensors: len(sup.Quarantined()), level: sup.Level(),

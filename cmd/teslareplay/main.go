@@ -26,6 +26,7 @@ import (
 
 	"tesla/internal/dataset"
 	"tesla/internal/experiment"
+	"tesla/internal/fleet"
 	"tesla/internal/model"
 	"tesla/internal/safety"
 	"tesla/internal/stats"
@@ -98,31 +99,19 @@ func runStore(dir, csvOut string, coldLim float64) error {
 	if err != nil {
 		return err
 	}
-	var energy float64
-	var violations, interruptions int
+	// The room's own accounting (fleet.Metrics, as in its RoomResult) over
+	// the logged samples, before Finish turns the counts into fractions.
+	var m fleet.Metrics
 	levels := map[uint8]int{}
-	var meanSp, maxCold float64
 	for i := range steps {
-		s := &steps[i].Sample
-		energy += s.ACUPowerKW * tr.PeriodS / 3600
-		if s.MaxColdAisle > coldLim {
-			violations++
-		}
-		if s.Interrupted {
-			interruptions++
-		}
+		m.Add(&steps[i].Sample, tr.PeriodS, coldLim)
 		levels[steps[i].Level]++
-		meanSp += steps[i].Setpoint
-		if s.MaxColdAisle > maxCold {
-			maxCold = s.MaxColdAisle
-		}
 	}
 	if len(steps) > 0 {
-		meanSp /= float64(len(steps))
 		fmt.Printf("\nreplayed trajectory (%d control steps, %d ACU + %d DC sensors):\n", len(steps), tr.Na(), tr.Nd())
-		fmt.Printf("  cooling energy: %.2f kWh\n", energy)
-		fmt.Printf("  violation minutes: %d (limit %.1f°C), interruption minutes: %d\n", violations, coldLim, interruptions)
-		fmt.Printf("  mean set-point: %.2f°C, max cold-aisle: %.2f°C\n", meanSp, maxCold)
+		fmt.Printf("  cooling energy: %.2f kWh\n", m.CEkWh)
+		fmt.Printf("  violation minutes: %d (limit %.1f°C), interruption minutes: %d\n", int(m.TSVFrac), coldLim, int(m.CIFrac))
+		fmt.Printf("  mean set-point: %.2f°C, max cold-aisle: %.2f°C\n", m.Finish().MeanSp, m.MaxCold)
 		fmt.Printf("  safety levels:")
 		for lvl := uint8(0); lvl <= 3; lvl++ {
 			if n := levels[lvl]; n > 0 {

@@ -6,9 +6,7 @@ import (
 	"strings"
 
 	"tesla/internal/control"
-	"tesla/internal/dataset"
 	"tesla/internal/parallel"
-	"tesla/internal/testbed"
 	"tesla/internal/workload"
 )
 
@@ -148,12 +146,10 @@ func RunFaultInjection(a *Artifacts, load workload.Setting, evalS float64, seed 
 		}
 		rc := DefaultRunConfig(p, load, seed)
 		rc.EvalS = evalS
-		tb, err := testbed.New(rc.Testbed)
+		tb, err := rc.newTestbed()
 		if err != nil {
 			return Metrics{}, err
 		}
-		tb.UseProfile(rc.Profile)
-		tb.SetSetpoint(rc.InitSpC)
 		if inject {
 			tb.Sensors.FailDC(out.StuckSensor, out.StuckAtC)
 		}
@@ -171,9 +167,4 @@ func RunFaultInjection(a *Artifacts, load workload.Setting, evalS float64, seed 
 	}
 	out.Healthy, out.Faulty = ms[0], ms[1]
 	return out, nil
-}
-
-// newTraceFor allocates a trace sized to a testbed's sensor deployment.
-func newTraceFor(tb *testbed.Testbed, rc RunConfig) *dataset.Trace {
-	return dataset.NewTrace(rc.Testbed.SamplePeriodS, len(tb.Sensors.ACU), len(tb.Sensors.DC))
 }

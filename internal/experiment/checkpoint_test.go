@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"tesla/internal/control"
-	"tesla/internal/testbed"
 	"tesla/internal/workload"
 )
 
@@ -32,17 +31,13 @@ func teslaRunWithSwap(t *testing.T, k int) []float64 {
 	rc.WarmupS = 3600
 	rc.EvalS = 3600
 
-	tb, err := testbed.New(rc.Testbed)
+	tb, err := rc.newTestbed()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.UseProfile(rc.Profile)
-	tb.SetSetpoint(rc.InitSpC)
-	tr := newTraceFor(tb, rc)
-	warm := int(rc.WarmupS / rc.Testbed.SamplePeriodS)
-	evalSteps := int(rc.EvalS / rc.Testbed.SamplePeriodS)
-	for i := 0; i < warm; i++ {
-		tr.Append(tb.Advance())
+	l, evalSteps, err := rc.warmLoop(tb)
+	if err != nil {
+		t.Fatal(err)
 	}
 	sps := make([]float64, 0, evalSteps)
 	for i := 0; i < evalSteps; i++ {
@@ -55,10 +50,12 @@ func teslaRunWithSwap(t *testing.T, k int) []float64 {
 			if err := pol.Restore(blob); err != nil {
 				t.Fatalf("Restore at step %d: %v", i, err)
 			}
+			l.Policy = pol
 		}
-		sp := pol.Decide(tr, tr.Len()-1)
-		tb.SetSetpoint(sp)
-		tr.Append(tb.Advance())
+		sp, _, err := l.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
 		sps = append(sps, sp)
 	}
 	return sps

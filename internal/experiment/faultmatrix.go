@@ -8,7 +8,6 @@ import (
 	"tesla/internal/parallel"
 	"tesla/internal/rng"
 	"tesla/internal/safety"
-	"tesla/internal/testbed"
 	"tesla/internal/workload"
 )
 
@@ -16,14 +15,14 @@ import (
 type FaultRow struct {
 	Scenario string
 	Class    string // sensor / actuator / telemetry
-	Metrics         // measured from the *delivered* (possibly corrupted) telemetry
-
-	// TrueTSVFrac is the fraction of evaluation steps whose ground-truth
-	// cold-aisle maximum exceeded the limit — the physical violation rate,
-	// immune to the injected telemetry corruption. For sensor and telemetry
-	// faults a correct supervisor keeps this at zero; actuator faults remove
-	// real cooling, so there it measures the physical exposure instead.
-	TrueTSVFrac float64
+	// Metrics are measured from the *delivered* (possibly corrupted)
+	// telemetry, except TrueTSVFrac: the fraction of evaluation steps whose
+	// ground-truth cold-aisle maximum exceeded the limit — the physical
+	// violation rate, immune to the injected telemetry corruption. For sensor
+	// and telemetry faults a correct supervisor keeps it at zero; actuator
+	// faults remove real cooling, so there it measures the physical exposure
+	// instead.
+	Metrics
 	// RecoverySteps counts control steps from the fault clearing until the
 	// supervisor is back at its normal stage with the true cold-aisle maximum
 	// inside the limit; -1 if that never happens within the window.
@@ -40,20 +39,19 @@ type FaultRow struct {
 // FaultMatrix is the full sweep: one healthy baseline plus one row per
 // faults.Matrix scenario, all under the supervised TESLA controller.
 type FaultMatrix struct {
-	Load    workload.Setting
+	Load workload.Setting
+	// Healthy is the fault-free baseline. Its TrueTSVFrac is the floor
+	// against which the per-scenario true(%) column is judged: only the
+	// excess over it is attributable to the fault.
 	Healthy Metrics
-	// HealthyTrueTSV is the ground-truth violation fraction of the fault-free
-	// baseline — the floor against which the per-scenario true(%) column is
-	// judged: only the excess over it is attributable to the fault.
-	HealthyTrueTSV float64
-	Rows           []FaultRow
+	Rows    []FaultRow
 }
 
 // String renders the matrix as a fixed-width table.
 func (fm FaultMatrix) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fault matrix (%s load, supervised tesla; healthy CE=%.2f kWh, true TSV=%.2f%%)\n",
-		fm.Load, fm.Healthy.CEkWh, 100*fm.HealthyTrueTSV)
+		fm.Load, fm.Healthy.CEkWh, 100*fm.Healthy.TrueTSVFrac)
 	fmt.Fprintf(&b, "  %-18s %-9s %8s %8s %8s %9s %5s %-14s\n",
 		"scenario", "class", "TSV(%)", "true(%)", "ΔCE", "recovery", "esc", "max level")
 	for _, r := range fm.Rows {
@@ -68,10 +66,10 @@ func (fm FaultMatrix) String() string {
 	return b.String()
 }
 
-// supervisedRun is the closed loop of runLoopWithTrace with three additions:
-// the policy is wrapped in a safety.Supervisor, an optional fault engine is
-// attached to the testbed, and ground-truth violation / recovery bookkeeping
-// rides along. sc == nil runs the healthy baseline.
+// supervisedRun is Run with three additions: the policy is wrapped in a
+// safety.Supervisor, an optional fault engine is attached to the testbed,
+// and recovery bookkeeping rides along between steps. sc == nil runs the
+// healthy baseline.
 func supervisedRun(a *Artifacts, load workload.Setting, evalS float64, seed uint64, teslaSeed uint64, sc *faults.Scenario) (FaultRow, error) {
 	p, err := a.NewTESLAPolicy(teslaSeed)
 	if err != nil {
@@ -86,12 +84,10 @@ func supervisedRun(a *Artifacts, load workload.Setting, evalS float64, seed uint
 	}
 	rc.Policy = sup
 
-	tb, err := testbed.New(rc.Testbed)
+	tb, err := rc.newTestbed()
 	if err != nil {
 		return FaultRow{}, err
 	}
-	tb.UseProfile(rc.Profile)
-	tb.SetSetpoint(rc.InitSpC)
 	row := FaultRow{Scenario: "healthy", RecoverySteps: -1}
 	if sc != nil {
 		eng, err := faults.NewEngine(*sc)
@@ -103,39 +99,15 @@ func supervisedRun(a *Artifacts, load workload.Setting, evalS float64, seed uint
 		row.Class = sc.Events[0].Kind.Class()
 	}
 
-	tr := newTraceFor(tb, rc)
-	warmSteps := int(rc.WarmupS / rc.Testbed.SamplePeriodS)
-	evalSteps := int(rc.EvalS / rc.Testbed.SamplePeriodS)
-	if evalSteps < 1 {
-		return FaultRow{}, fmt.Errorf("experiment: evaluation window shorter than one step")
+	l, evalSteps, err := rc.warmLoop(tb)
+	if err != nil {
+		return FaultRow{}, err
 	}
-	for i := 0; i < warmSteps; i++ {
-		tr.Append(tb.Advance())
-	}
-
-	m := Metrics{Policy: rc.Policy.Name(), Load: load, HoursH: rc.EvalS / 3600}
 	clearStep := -1 // eval-step index at which the fault schedule has cleared
 	for i := 0; i < evalSteps; i++ {
-		t := tr.Len() - 1
-		sp := rc.Policy.Decide(tr, t)
-		tb.SetSetpoint(sp)
-		s := tb.Advance()
-		tr.Append(s)
-
-		m.Steps++
-		m.CEkWh += s.ACUPowerKW * rc.Testbed.SamplePeriodS / 3600
-		if s.MaxColdAisle > rc.ColdLimC {
-			m.TSVFrac++
-		}
-		if s.Interrupted {
-			m.CIFrac++
-		}
-		m.MeanSp += s.SetpointC
-		if s.MaxColdAisle > m.MaxCold {
-			m.MaxCold = s.MaxColdAisle
-		}
-		if s.TrueMaxColdC > rc.ColdLimC {
-			row.TrueTSVFrac++
+		_, s, err := l.Step()
+		if err != nil {
+			return FaultRow{}, err
 		}
 		if sc != nil && s.TimeS >= sc.EndS() {
 			if clearStep < 0 {
@@ -146,11 +118,7 @@ func supervisedRun(a *Artifacts, load workload.Setting, evalS float64, seed uint
 			}
 		}
 	}
-	m.TSVFrac /= float64(m.Steps)
-	m.CIFrac /= float64(m.Steps)
-	m.MeanSp /= float64(m.Steps)
-	row.Metrics = m
-	row.TrueTSVFrac /= float64(m.Steps)
+	row.Metrics = rc.metrics(l)
 
 	st := sup.Stats()
 	row.Escalations = st.Escalations
@@ -187,7 +155,6 @@ func RunFaultMatrix(a *Artifacts, load workload.Setting, evalS float64, seed uin
 		return fm, err
 	}
 	fm.Healthy = rows[0].Metrics
-	fm.HealthyTrueTSV = rows[0].TrueTSVFrac
 	fm.Rows = rows[1:]
 	for i := range fm.Rows {
 		fm.Rows[i].EnergyDeltaKWh = fm.Rows[i].CEkWh - fm.Healthy.CEkWh

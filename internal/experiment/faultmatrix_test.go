@@ -22,8 +22,8 @@ func TestFaultMatrixCoverageAndSafety(t *testing.T) {
 	if fm.Healthy.CEkWh <= 0 || fm.Healthy.Steps == 0 {
 		t.Fatalf("healthy baseline empty: %+v", fm.Healthy)
 	}
-	if fm.HealthyTrueTSV != 0 {
-		t.Fatalf("healthy supervised baseline has %.2f%% true violations", 100*fm.HealthyTrueTSV)
+	if fm.Healthy.TrueTSVFrac != 0 {
+		t.Fatalf("healthy supervised baseline has %.2f%% true violations", 100*fm.Healthy.TrueTSVFrac)
 	}
 
 	classes := map[string]bool{}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tesla/internal/control"
-	"tesla/internal/dataset"
 	"tesla/internal/testbed"
 	"tesla/internal/workload"
 )
@@ -175,25 +174,23 @@ func Figure8(a *Artifacts, evalS float64, seed uint64) ([]*Figure, error) {
 	}
 	rc := DefaultRunConfig(tesla, workload.Medium, seed)
 	rc.EvalS = evalS
-
-	tb, err := testbed.New(rc.Testbed)
+	tb, err := rc.newTestbed()
 	if err != nil {
 		return nil, err
 	}
-	tb.UseProfile(rc.Profile)
-	tb.SetSetpoint(rc.InitSpC)
-	tr := dataset.NewTrace(rc.Testbed.SamplePeriodS, len(tb.Sensors.ACU), len(tb.Sensors.DC))
-	for i := 0; i < int(rc.WarmupS/rc.Testbed.SamplePeriodS); i++ {
-		tr.Append(tb.Advance())
+	l, evalSteps, err := rc.warmLoop(tb)
+	if err != nil {
+		return nil, err
 	}
 
-	evalSteps := int(rc.EvalS / rc.Testbed.SamplePeriodS)
 	snapAt := map[int]bool{evalSteps / 3: true, 2 * evalSteps / 3: true}
 	powerSeries := Series{Name: "average server power"}
 	var snaps []*Figure
 	for i := 0; i < evalSteps; i++ {
-		t := tr.Len() - 1
-		sp := tesla.Decide(tr, t)
+		_, s, err := l.Step()
+		if err != nil {
+			return nil, err
+		}
 		if snapAt[i] {
 			if res := tesla.LastResult(); res != nil {
 				hours := float64(i) * rc.Testbed.SamplePeriodS / 3600
@@ -216,9 +213,6 @@ func Figure8(a *Artifacts, evalS float64, seed uint64) ([]*Figure, error) {
 				})
 			}
 		}
-		tb.SetSetpoint(sp)
-		s := tb.Advance()
-		tr.Append(s)
 		powerSeries.X = append(powerSeries.X, float64(i)*rc.Testbed.SamplePeriodS/3600)
 		powerSeries.Y = append(powerSeries.Y, s.AvgServerKW)
 	}

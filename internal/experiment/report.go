@@ -133,7 +133,7 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 			"corruption — only the excess over the healthy baseline is attributable to a\n"+
 			"fault; recovery is the time from the fault clearing until the supervisor\n"+
 			"returns to its normal stage with the plant inside the limit.\n\n",
-			r.Matrix.Load, r.Matrix.Healthy.CEkWh, 100*r.Matrix.HealthyTrueTSV); err != nil {
+			r.Matrix.Load, r.Matrix.Healthy.CEkWh, 100*r.Matrix.Healthy.TrueTSVFrac); err != nil {
 			return err
 		}
 		rows := make([][]string, 0, len(r.Matrix.Rows))

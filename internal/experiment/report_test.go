@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"tesla/internal/fleet"
 	"tesla/internal/workload"
 )
 
@@ -17,14 +18,15 @@ func TestReportRendersAllSections(t *testing.T) {
 		Table3:    &Table3Result{TESLAMape: 1, LazicMape: 2, WangMape: 3, Windows: 10},
 		Table4:    &Table4Result{TESLAMape: 4, MLPMape: 5, GBTMape: 6, ForestMape: 7, Windows: 11},
 		Table5: &Table5Result{Rows: []Table5Row{
-			{Metrics: Metrics{Policy: "fixed", Load: workload.Idle, CEkWh: 20}, SavingPct: 0},
-			{Metrics: Metrics{Policy: "tesla", Load: workload.Idle, CEkWh: 18, TSVFrac: 0}, SavingPct: 10},
+			{Metrics: Metrics{Policy: "fixed", Load: workload.Idle, Metrics: fleet.Metrics{CEkWh: 20}}, SavingPct: 0},
+			{Metrics: Metrics{Policy: "tesla", Load: workload.Idle, Metrics: fleet.Metrics{CEkWh: 18, TSVFrac: 0}}, SavingPct: 10},
 		}},
 		Study: &AblationStudy{Load: workload.Medium, Results: []AblationResult{
-			{Ablation: AblationNone, Metrics: Metrics{CEkWh: 15}, SetpointChurnC: 0.2},
+			{Ablation: AblationNone, Metrics: Metrics{Metrics: fleet.Metrics{CEkWh: 15}}, SetpointChurnC: 0.2},
 		}},
 		Fault: &FaultInjectionResult{
-			Healthy: Metrics{CEkWh: 15, MeanSp: 25}, Faulty: Metrics{CEkWh: 16, MeanSp: 24},
+			Healthy:     Metrics{Metrics: fleet.Metrics{CEkWh: 15, MeanSp: 25}},
+			Faulty:      Metrics{Metrics: fleet.Metrics{CEkWh: 16, MeanSp: 24}},
 			StuckSensor: 5, StuckAtC: 21.5,
 		},
 	}

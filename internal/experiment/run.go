@@ -9,21 +9,18 @@ import (
 
 	"tesla/internal/control"
 	"tesla/internal/dataset"
+	"tesla/internal/fleet"
 	"tesla/internal/testbed"
 	"tesla/internal/workload"
 )
 
-// Metrics are the end-to-end quantities of Table 5 for one 12-hour run.
+// Metrics are the end-to-end quantities of Table 5 for one 12-hour run,
+// labelled with the policy, load and window that produced them.
 type Metrics struct {
-	Policy  string
-	Load    workload.Setting
-	Steps   int
-	HoursH  float64
-	CEkWh   float64 // cooling energy over the evaluation window
-	TSVFrac float64 // fraction of steps with max cold-aisle > limit
-	CIFrac  float64 // fraction of steps with ACU power < 100 W
-	MeanSp  float64 // mean executed set-point
-	MaxCold float64 // worst cold-aisle reading observed
+	Policy string
+	Load   workload.Setting
+	HoursH float64
+	fleet.Metrics
 }
 
 // String renders the metrics like a Table 5 row.
@@ -59,60 +56,64 @@ func DefaultRunConfig(p control.Policy, load workload.Setting, seed uint64) RunC
 	}
 }
 
-// Run executes the closed loop and returns the recorded trace (warm-up
-// included; Metrics cover only the evaluation window) plus the metrics.
-func Run(rc RunConfig) (*dataset.Trace, Metrics, error) {
+// newTestbed builds rc's plant under its workload with the warm-up
+// set-point latched.
+func (rc RunConfig) newTestbed() (*testbed.Testbed, error) {
 	tb, err := testbed.New(rc.Testbed)
 	if err != nil {
-		return nil, Metrics{}, err
+		return nil, err
 	}
 	tb.UseProfile(rc.Profile)
 	tb.SetSetpoint(rc.InitSpC)
+	return tb, nil
+}
+
+// warmLoop builds rc's closed loop over a prepared testbed and records the
+// warm-up, so the policy has history from the first evaluated step. It
+// returns the number of evaluation steps.
+func (rc RunConfig) warmLoop(tb *testbed.Testbed) (*fleet.Loop, int, error) {
+	evalSteps := int(rc.EvalS / rc.Testbed.SamplePeriodS)
+	if evalSteps < 1 {
+		return nil, 0, fmt.Errorf("experiment: evaluation window shorter than one step")
+	}
+	l := fleet.NewLoop(tb, rc.Policy, rc.ColdLimC)
+	for i := 0; i < int(rc.WarmupS/rc.Testbed.SamplePeriodS); i++ {
+		l.Advance()
+	}
+	return l, evalSteps, nil
+}
+
+// metrics labels a finished loop's accounting with rc's policy, load and
+// window.
+func (rc RunConfig) metrics(l *fleet.Loop) Metrics {
+	m := Metrics{Policy: rc.Policy.Name(), HoursH: rc.EvalS / 3600, Metrics: l.Metrics.Finish()}
+	if d, ok := rc.Profile.(*workload.Diurnal); ok {
+		m.Load = d.Setting
+	}
+	return m
+}
+
+// Run executes the closed loop and returns the recorded trace (warm-up
+// included; Metrics cover only the evaluation window) plus the metrics.
+func Run(rc RunConfig) (*dataset.Trace, Metrics, error) {
+	tb, err := rc.newTestbed()
+	if err != nil {
+		return nil, Metrics{}, err
+	}
 	return runLoopWithTrace(tb, rc)
 }
 
 // runLoopWithTrace drives a pre-built testbed (fault-injection experiments
 // configure the sensor array before entering the loop).
 func runLoopWithTrace(tb *testbed.Testbed, rc RunConfig) (*dataset.Trace, Metrics, error) {
-	tr := newTraceFor(tb, rc)
-	warmSteps := int(rc.WarmupS / rc.Testbed.SamplePeriodS)
-	evalSteps := int(rc.EvalS / rc.Testbed.SamplePeriodS)
-	if evalSteps < 1 {
-		return nil, Metrics{}, fmt.Errorf("experiment: evaluation window shorter than one step")
-	}
-
-	// Warm-up: record telemetry under the initial set-point so policies have
-	// history from the first evaluated step.
-	for i := 0; i < warmSteps; i++ {
-		tr.Append(tb.Advance())
-	}
-
-	m := Metrics{Policy: rc.Policy.Name(), HoursH: rc.EvalS / 3600}
-	if d, ok := rc.Profile.(*workload.Diurnal); ok {
-		m.Load = d.Setting
+	l, evalSteps, err := rc.warmLoop(tb)
+	if err != nil {
+		return nil, Metrics{}, err
 	}
 	for i := 0; i < evalSteps; i++ {
-		t := tr.Len() - 1
-		sp := rc.Policy.Decide(tr, t)
-		tb.SetSetpoint(sp)
-		s := tb.Advance()
-		tr.Append(s)
-
-		m.Steps++
-		m.CEkWh += s.ACUPowerKW * rc.Testbed.SamplePeriodS / 3600
-		if s.MaxColdAisle > rc.ColdLimC {
-			m.TSVFrac++
-		}
-		if s.Interrupted {
-			m.CIFrac++
-		}
-		m.MeanSp += s.SetpointC
-		if s.MaxColdAisle > m.MaxCold {
-			m.MaxCold = s.MaxColdAisle
+		if _, _, err := l.Step(); err != nil {
+			return nil, Metrics{}, err
 		}
 	}
-	m.TSVFrac /= float64(m.Steps)
-	m.CIFrac /= float64(m.Steps)
-	m.MeanSp /= float64(m.Steps)
-	return tr, m, nil
+	return l.Trace, rc.metrics(l), nil
 }

@@ -3,7 +3,7 @@ package experiment
 import (
 	"fmt"
 
-	"tesla/internal/dataset"
+	"tesla/internal/fleet"
 	"tesla/internal/testbed"
 	"tesla/internal/workload"
 )
@@ -17,13 +17,12 @@ import (
 // The deferring scheduler's signal is generic headroom; here it is the
 // remaining power budget in kW-equivalents.
 
-// DeferralOutcome is one leg of the study.
+// DeferralOutcome is one leg of the study: the controlled window's
+// metrics, its peak IT power and the batch jobs it completed.
 type DeferralOutcome struct {
-	CoolingKWh float64
-	PeakITKW   float64
-	Completed  int
-	TSVFrac    float64
-	MeanSp     float64
+	fleet.Metrics
+	PeakITKW  float64
+	Completed int
 }
 
 // DeferralStudy is the paired comparison.
@@ -37,8 +36,8 @@ type DeferralStudy struct {
 func (s DeferralStudy) String() string {
 	return fmt.Sprintf(
 		"deferral study (%d jobs): immediate CE=%.2f kWh peakIT=%.2f kW done=%d | deferred CE=%.2f kWh peakIT=%.2f kW done=%d",
-		s.Jobs, s.Immediate.CoolingKWh, s.Immediate.PeakITKW, s.Immediate.Completed,
-		s.Deferred.CoolingKWh, s.Deferred.PeakITKW, s.Deferred.Completed)
+		s.Jobs, s.Immediate.CEkWh, s.Immediate.PeakITKW, s.Immediate.Completed,
+		s.Deferred.CEkWh, s.Deferred.PeakITKW, s.Deferred.Completed)
 }
 
 // RunDeferralStudy executes both legs. The workload is a base load plus a
@@ -74,7 +73,7 @@ func RunDeferralStudy(a *Artifacts, hours float64, seed uint64) (DeferralStudy, 
 			return out, err
 		}
 
-		tr := dataset.NewTrace(cfg.SamplePeriodS, len(tb.Sensors.ACU), len(tb.Sensors.DC))
+		l := fleet.NewLoop(tb, controller, 22)
 		tb.SetSetpoint(23)
 		// Baseline interactive load on every node.
 		if err := sched.Submit(workload.DeferredJob{
@@ -106,26 +105,18 @@ func RunDeferralStudy(a *Artifacts, hours float64, seed uint64) (DeferralStudy, 
 			if err := sched.Tick(now); err != nil {
 				return out, err
 			}
-			if i >= warm {
-				sp := controller.Decide(tr, tr.Len()-1)
-				tb.SetSetpoint(sp)
+			var s testbed.Sample
+			if i < warm {
+				s = l.Advance()
+			} else if _, s, err = l.Step(); err != nil {
+				return out, err
 			}
-			s := tb.Advance()
-			tr.Append(s)
 			latestHeadroom = powerBudgetKW - s.TotalIT
-			if i >= warm {
-				out.CoolingKWh += s.ACUPowerKW * cfg.SamplePeriodS / 3600
-				out.MeanSp += s.SetpointC
-				if s.TotalIT > out.PeakITKW {
-					out.PeakITKW = s.TotalIT
-				}
-				if s.MaxColdAisle > 22 {
-					out.TSVFrac++
-				}
+			if i >= warm && s.TotalIT > out.PeakITKW {
+				out.PeakITKW = s.TotalIT
 			}
 		}
-		out.TSVFrac /= float64(steps)
-		out.MeanSp /= float64(steps)
+		out.Metrics = l.Metrics.Finish()
 		for j := 0; j < study.Jobs; j++ {
 			out.Completed += orch.Completed[fmt.Sprintf("batch-%d", j)] / 3 // pods per job
 		}

@@ -274,14 +274,8 @@ type RoomResult struct {
 	Stream uint64 `json:"stream"`
 
 	PlannedSteps int `json:"planned_steps"`
-	Steps        int `json:"steps"` // executed control steps; == PlannedSteps unless the run errored
-
-	CEkWh       float64 `json:"ce_kwh"`
-	TSVFrac     float64 `json:"tsv_frac"`
-	CIFrac      float64 `json:"ci_frac"`
-	TrueTSVFrac float64 `json:"true_tsv_frac"`
-	MeanSp      float64 `json:"mean_sp_c"`
-	MaxCold     float64 `json:"max_cold_c"`
+	// Metrics.Steps == PlannedSteps unless the run errored.
+	Metrics
 
 	// TrajectoryHash is an FNV-1a digest of the executed set-points and the
 	// delivered + ground-truth cold-aisle maxima at every evaluation step —

@@ -2,11 +2,9 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"tesla/internal/control"
-	"tesla/internal/dataset"
 	"tesla/internal/faults"
 	"tesla/internal/rng"
 	"tesla/internal/safety"
@@ -15,31 +13,23 @@ import (
 	"tesla/internal/testbed"
 )
 
-const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
-
-// roomRun is one room's in-flight control loop: the plant, the supervised
-// policy, the recorded trace, the accumulators, and (when durability is on)
-// the room's WAL + snapshot store. Everything is room-local — the isolation
-// contract — and every step flows through applyStep in a fixed order, so the
-// accumulator and hash values are bit-identical whether a step was executed
-// live or re-derived during crash recovery.
+// roomRun is one room's in-flight control loop: the Loop over the room's
+// plant and supervised policy, and (when durability is on) the room's WAL +
+// snapshot store. Everything is room-local — the isolation contract — and
+// live steps and replayed steps both run Loop.step, so the accumulator and
+// hash values are bit-identical whether a step was executed live or
+// re-derived during crash recovery.
 type roomRun struct {
+	*Loop
 	cfg   *Config
 	spec  RoomSpec
 	tbCfg testbed.Config
-	tb    *testbed.Testbed
 	pol   control.Policy
 	sup   *safety.Supervisor
-	tr    *dataset.Trace
 	st    *store.Store
 	q     *telemetry.Queue
 
-	res  RoomResult
-	hash uint64
-	// last is the most recent plant sample (warm-up, replay or live) — what
-	// a fleet-level scheduler reads at the step barrier to judge the room's
-	// thermal headroom and cooling capacity.
-	last testbed.Sample
+	res RoomResult
 
 	warmSteps int
 	evalSteps int
@@ -72,7 +62,7 @@ func (rr *roomRun) buildController() error {
 	if err != nil {
 		return fmt.Errorf("fleet: room %s: %w", rr.res.Name, err)
 	}
-	rr.pol, rr.sup = pol, sup
+	rr.pol, rr.sup, rr.Policy = pol, sup, sup
 	return nil
 }
 
@@ -83,38 +73,6 @@ func (rr *roomRun) buildController() error {
 func (rr *roomRun) durablePolicy() (control.Durable, bool) {
 	d, ok := rr.pol.(control.Durable)
 	return d, ok
-}
-
-func (rr *roomRun) mix(v float64) {
-	bits := math.Float64bits(v)
-	for s := 0; s < 64; s += 8 {
-		rr.hash = (rr.hash ^ (bits >> s & 0xff)) * fnvPrime
-	}
-}
-
-// applyStep folds one executed evaluation step into the room accumulators.
-// The call order — and therefore every float rounding — is identical for
-// live and replayed steps; that is what makes the recovery hash bit-exact.
-func (rr *roomRun) applyStep(sp float64, s *testbed.Sample) {
-	rr.res.Steps++
-	rr.res.CEkWh += s.ACUPowerKW * rr.tbCfg.SamplePeriodS / 3600
-	if s.MaxColdAisle > rr.cfg.ColdLimitC {
-		rr.res.TSVFrac++
-	}
-	if s.TrueMaxColdC > rr.cfg.ColdLimitC {
-		rr.res.TrueTSVFrac++
-	}
-	if s.Interrupted {
-		rr.res.CIFrac++
-	}
-	rr.res.MeanSp += s.SetpointC
-	if s.MaxColdAisle > rr.res.MaxCold {
-		rr.res.MaxCold = s.MaxColdAisle
-	}
-	rr.mix(sp)
-	rr.mix(s.MaxColdAisle)
-	rr.mix(s.TrueMaxColdC)
-	rr.mix(s.ACUPowerKW)
 }
 
 // checkSample cross-checks a re-simulated sample against its WAL record.
@@ -136,7 +94,7 @@ func newRoomRun(cfg *Config, idx int, q *telemetry.Queue) (*roomRun, error) {
 	spec := cfg.Rooms[idx]
 	stream := cfg.streamOf(idx)
 	rr := &roomRun{
-		cfg: cfg, spec: spec, q: q, hash: fnvOffset,
+		cfg: cfg, spec: spec, q: q,
 		res: RoomResult{Room: idx, Name: cfg.nameOf(idx), Stream: stream},
 	}
 
@@ -158,9 +116,10 @@ func newRoomRun(cfg *Config, idx int, q *telemetry.Queue) (*roomRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: room %s: %w", rr.res.Name, err)
 	}
-	rr.tb = tb
 	tb.UseProfile(spec.Profile)
 	tb.SetSetpoint(cfg.InitSpC)
+	rr.Loop = NewLoop(tb, nil, cfg.ColdLimitC)
+	rr.quantize, rr.actuate, rr.publish, rr.room = cfg.Quantize, cfg.Actuate, cfg.Publish, idx
 
 	if err := rr.buildController(); err != nil {
 		return nil, err
@@ -173,7 +132,6 @@ func newRoomRun(cfg *Config, idx int, q *telemetry.Queue) (*roomRun, error) {
 		tb.AddStepHook(eng)
 	}
 
-	rr.tr = dataset.NewTrace(rr.tbCfg.SamplePeriodS, len(tb.Sensors.ACU), len(tb.Sensors.DC))
 	rr.warmSteps = int(cfg.WarmupS / rr.tbCfg.SamplePeriodS)
 	rr.evalSteps = int(cfg.EvalS / rr.tbCfg.SamplePeriodS)
 	rr.res.PlannedSteps = rr.evalSteps
@@ -184,9 +142,7 @@ func newRoomRun(cfg *Config, idx int, q *telemetry.Queue) (*roomRun, error) {
 // warm-up records the WAL does not already hold.
 func (rr *roomRun) warmup() error {
 	for i := 0; i < rr.warmSteps; i++ {
-		s := rr.tb.Advance()
-		rr.tr.Append(s)
-		rr.last = s
+		s := rr.Advance()
 		switch {
 		case i < len(rr.recWarm):
 			rr.checkSample(&rr.recWarm[i].Sample, &s)
@@ -224,35 +180,14 @@ func (rr *roomRun) writeCheckpoint(d control.Durable, step int) error {
 	})
 }
 
-// snapInterval resolves the effective checkpoint interval.
-func (rr *roomRun) snapInterval() int {
-	if rr.cfg.SnapshotEvery > 0 {
-		return rr.cfg.SnapshotEvery
-	}
-	return 64
-}
-
-// stepOnce executes evaluation step i live: decide, actuate, sample, push
-// telemetry, fold accumulators, log, checkpoint on the interval. Runner.Step
-// is its one caller, so every host produces the same bits.
-func (rr *roomRun) stepOnce(i int, d control.Durable, durable bool, snapEvery int) error {
+// stepOnce executes evaluation step i live: the Loop's step, then push
+// telemetry, log, checkpoint on the interval. Runner.Step is its one caller,
+// so every host produces the same bits.
+func (rr *roomRun) stepOnce(i int) error {
 	stepStart := time.Now()
-	sp := rr.sup.Decide(rr.tr, rr.tr.Len()-1)
-	if rr.cfg.Quantize != nil {
-		sp = rr.cfg.Quantize(sp)
-	}
-	if rr.cfg.Actuate != nil {
-		if err := rr.cfg.Actuate(rr.res.Room, sp); err != nil {
-			return fmt.Errorf("fleet: room %s: actuate step %d: %w", rr.res.Name, i, err)
-		}
-	} else {
-		rr.tb.SetSetpoint(sp)
-	}
-	s := rr.tb.Advance()
-	rr.tr.Append(s)
-	rr.last = s
-	if rr.cfg.Publish != nil {
-		rr.cfg.Publish(rr.res.Room, s)
+	sp, s, err := rr.Step()
+	if err != nil {
+		return fmt.Errorf("fleet: room %s: actuate step %d: %w", rr.res.Name, i, err)
 	}
 	if rr.spec.StallPerStep > 0 {
 		time.Sleep(rr.spec.StallPerStep)
@@ -262,7 +197,6 @@ func (rr *roomRun) stepOnce(i int, d control.Durable, durable bool, snapEvery in
 	// Non-blocking by construction: a full queue evicts and counts, so
 	// telemetry backpressure can never stall this loop.
 	rr.q.Push(telemetry.RoomSample{Room: rr.res.Room, Seq: uint64(i), Level: int(rr.sup.Level()), S: s})
-	rr.applyStep(sp, &s)
 
 	if rr.st != nil {
 		rec := store.Record{
@@ -272,7 +206,11 @@ func (rr *roomRun) stepOnce(i int, d control.Durable, durable bool, snapEvery in
 		if err := rr.st.AppendRecord(&rec); err != nil {
 			return fmt.Errorf("fleet: room %s: %w", rr.res.Name, err)
 		}
-		if durable && (i+1)%snapEvery == 0 && i+1 < rr.evalSteps {
+		snapEvery := rr.cfg.SnapshotEvery
+		if snapEvery <= 0 {
+			snapEvery = 64
+		}
+		if d, ok := rr.durablePolicy(); ok && (i+1)%snapEvery == 0 && i+1 < rr.evalSteps {
 			if err := rr.writeCheckpoint(d, i+1); err != nil {
 				return fmt.Errorf("fleet: room %s: checkpoint: %w", rr.res.Name, err)
 			}
@@ -289,7 +227,7 @@ func (rr *roomRun) closeStore() error {
 		return nil
 	}
 	if d, ok := rr.durablePolicy(); ok {
-		if err := rr.writeCheckpoint(d, rr.res.Steps); err != nil {
+		if err := rr.writeCheckpoint(d, rr.Metrics.Steps); err != nil {
 			return fmt.Errorf("fleet: room %s: final checkpoint: %w", rr.res.Name, err)
 		}
 	}
@@ -302,12 +240,7 @@ func (rr *roomRun) closeStore() error {
 
 // finish divides the accumulators and collects the supervisor's counters.
 func (rr *roomRun) finish() RoomResult {
-	if rr.res.Steps > 0 {
-		rr.res.TSVFrac /= float64(rr.res.Steps)
-		rr.res.TrueTSVFrac /= float64(rr.res.Steps)
-		rr.res.CIFrac /= float64(rr.res.Steps)
-		rr.res.MeanSp /= float64(rr.res.Steps)
-	}
+	rr.res.Metrics = rr.Metrics.Finish()
 	rr.res.TrajectoryHash = rr.hash
 
 	st := rr.sup.Stats()
